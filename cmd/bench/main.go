@@ -7,7 +7,9 @@
 //
 //   - micro: testing.Benchmark over the kernel's hot paths (cache tag-array
 //     access, fused hit-access, the SVM fast path, a full kernel access
-//     stream, tracing-off Emit), reporting ns/op and allocs/op.
+//     stream, tracing-off Emit) and the page-coherence slow paths (page
+//     invalidation, line-table lookup and page drop), reporting ns/op and
+//     allocs/op.
 //   - figures: wall-clock seconds for the full `figures -all` matrix,
 //     simulated in-process against a fresh memo (every cell cold).
 //   - serving: cold-cache requests/second through the HTTP serving layer,
@@ -51,8 +53,10 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/smp"
 	"repro/internal/svm"
 	"repro/internal/trace"
 )
@@ -179,6 +183,50 @@ func runMicro() map[string]Micro {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k.Run("stream", body)
+		}
+	})
+
+	// One op = one SVM page invalidation: four lines of a 4 KB page are
+	// filled, then the page is invalidated, as a page fetch or an applied
+	// diff does. The residency bitmap makes the walk visit the four
+	// resident lines, not all 128 lines of the page.
+	m["cache_invalidate_page"] = microBench(func(b *testing.B) {
+		h := cache.New(svm.CacheConfig)
+		const npages = 64
+		for pg := uint64(0); pg < npages; pg++ {
+			h.Access(pg*platform.PageSize, false, cache.Exclusive) // size the bitmap
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			base := uint64(i%npages) * platform.PageSize
+			for off := uint64(0); off < 4*256; off += 256 {
+				h.Access(base+off, false, cache.Exclusive)
+			}
+			h.InvalidateRange(base, platform.PageSize)
+		}
+	})
+
+	// One op = four line-table lookups in a 4 KB page of a 4-member MESI
+	// engine, then the page's lines dropped, as svmsmp does when a page's
+	// contents change under a cluster.
+	m["line_table_entry"] = microBench(func(b *testing.B) {
+		e := protocol.NewLineEngine(protocol.MESI, smp.CacheConfig, 4)
+		const npages = 64
+		for pg := uint64(0); pg < npages; pg++ {
+			e.Entry(pg * platform.PageSize / uint64(smp.CacheConfig.Line)) // allocate the chunks
+		}
+		lines := uint64(platform.PageSize / smp.CacheConfig.Line)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pg := uint64(i % npages)
+			for j := uint64(0); j < 4; j++ {
+				if e.Entry(pg*lines+j*7).Owner() >= 0 {
+					b.Fatal("dropped line still owned")
+				}
+			}
+			e.DropLines(pg*platform.PageSize, platform.PageSize)
 		}
 	})
 

@@ -59,3 +59,34 @@ func TestAllocFreeSetState(t *testing.T) {
 		t.Fatalf("SetState allocates %v per run; want 0", n)
 	}
 }
+
+func TestAllocFreeInvalidateRange(t *testing.T) {
+	h := New(allocTestConfig())
+	var page uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Access(page, false, Exclusive)
+		h.Access(page+96, true, Exclusive)
+		h.InvalidateRange(page, 4096)
+		page = (page + 4096) % (1 << 20)
+	}); n != 0 {
+		t.Fatalf("InvalidateRange allocates %v per run; want 0", n)
+	}
+}
+
+// A hierarchy reset for another run keeps its residency bitmap, so refilling
+// the same footprint allocates nothing.
+func TestAllocFreeRefillAfterReset(t *testing.T) {
+	h := New(allocTestConfig())
+	fill := func() {
+		for a := uint64(0); a < 1<<20; a += 32 {
+			h.Access(a, false, Exclusive)
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(5, func() {
+		h.Reset()
+		fill()
+	}); n != 0 {
+		t.Fatalf("refill after Reset allocates %v per run; want 0", n)
+	}
+}

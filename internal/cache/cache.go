@@ -1,10 +1,10 @@
 // Package cache models a two-level per-processor cache hierarchy with real
-// tag arrays, used by all three platform models for local stall accounting
-// and (on the hardware-coherent platforms) for MESI line states. The paper's
-// configurations: SVM nodes have an 8 KB direct-mapped write-through L1 and a
-// 512 KB 2-way L2 with 32 B lines; the DSM nodes a 16 KB L1 and a 1 MB 4-way
-// L2 with 64 B lines; the SGI Challenge a 16 KB L1 and 1 MB L2 with 128 B
-// lines.
+// tag arrays, used by every platform preset for local stall accounting and
+// (on the line-coherent platforms and the SMP nodes of svmsmp) for MESI line
+// states. The paper's configurations: SVM nodes have an 8 KB direct-mapped
+// write-through L1 and a 512 KB 2-way L2 with 32 B lines; the DSM nodes a
+// 16 KB L1 and a 1 MB 4-way L2 with 64 B lines; the SGI Challenge a 16 KB L1
+// and 1 MB L2 with 128 B lines.
 //
 // Tag-array layout: each level keeps its ways in ONE contiguous, set-major
 // slice of 16-byte way records (tag, LRU stamp, MESI state together). Every
@@ -17,9 +17,23 @@
 // allocations instead of tens of thousands. The replacement decisions (way
 // scan order, LRU victim choice) are bit-for-bit those of the old layout, so
 // simulated timing is unchanged.
+//
+// Residency bitmap: each hierarchy also keeps one bit per line address,
+// set while L2 holds the line (inclusion puts every L1 line in L2 as well).
+// Page-grained protocols invalidate a whole 4 KB page whenever its
+// contents change under a node — on SVM that is every page fetch and every
+// applied diff — and most of a page's 64-128 lines are usually not cached.
+// Probing every line of the page through both levels made page invalidation
+// the largest single cost of SVM runs at high processor counts; with the
+// bitmap, InvalidateRange visits only the lines actually resident. The bitmap
+// grows lazily to cover the highest line ever filled and is cleared, not
+// freed, by Flush and Reset. CheckInvariants audits it against the L2 tags.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MESI line states. Platforms that do not track coherence in the cache (the
 // SVM platform, which is coherent at page granularity) use only Invalid and
@@ -156,6 +170,10 @@ type Hierarchy struct {
 	fast12       bool
 	w1arr, w2arr []way
 	m1, m2       uint64
+
+	// resident has bit la set exactly while L2 holds line la; see the
+	// package comment. Words past the end are all-zero lines.
+	resident []uint64
 
 	// OnL2Evict, when set, is called with the line address and state of
 	// every line evicted from L2 by capacity/conflict replacement. The
@@ -327,7 +345,9 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	}
 	ev, evSt := v.tag, v.st
 	*v = way{tag: la, lru: h.clock, st: st}
+	h.markResident(la)
 	if evSt != Invalid {
+		h.resident[ev>>6] &^= 1 << (ev & 63)
 		// Inclusion: a line leaving L2 must also leave L1.
 		we := &h.w1arr[ev&h.m1]
 		if we.st != Invalid && we.tag == ev {
@@ -383,7 +403,9 @@ func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Lev
 	v := &w2s[vic2]
 	ev, evSt := v.tag, v.st
 	*v = way{tag: la, lru: h.clock, st: st}
+	h.markResident(la)
 	if evSt != Invalid {
+		h.resident[ev>>6] &^= 1 << (ev & 63)
 		// Inclusion: a line leaving L2 must also leave L1. This can free a
 		// way in la's own L1 set, so the L1 victim must be re-chosen below
 		// rather than taken from the pre-eviction scan.
@@ -458,14 +480,40 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 // transition to Invalid removes the line from both levels.
 func (h *Hierarchy) SetState(addr uint64, st State) {
 	la := addr >> h.lineShift
+	if st == Invalid {
+		h.invalidateLine(la)
+		return
+	}
 	if b2, w2, ok := h.l2.lookup(la); ok {
 		h.l2.ways[b2+w2].st = st
 	}
-	if b1, w1, ok := h.l1.lookup(la); ok {
-		if st == Invalid {
-			h.l1.ways[b1+w1].st = Invalid
-		}
+}
+
+// invalidateLine removes line la from both levels and the residency bitmap.
+func (h *Hierarchy) invalidateLine(la uint64) {
+	if b2, w2, ok := h.l2.lookup(la); ok {
+		h.l2.ways[b2+w2].st = Invalid
+		h.resident[la>>6] &^= 1 << (la & 63)
 	}
+	if b1, w1, ok := h.l1.lookup(la); ok {
+		h.l1.ways[b1+w1].st = Invalid
+	}
+}
+
+// markResident sets line la's residency bit, growing the bitmap to cover it.
+func (h *Hierarchy) markResident(la uint64) {
+	w := la >> 6
+	if w >= uint64(len(h.resident)) {
+		h.growResident(int(w) + 1)
+	}
+	h.resident[w] |= 1 << (la & 63)
+}
+
+// growResident extends the bitmap to at least n words, at least doubling it
+// so a run that fills ascending addresses grows it O(log n) times.
+func (h *Hierarchy) growResident(n int) {
+	n = max(n, 2*len(h.resident))
+	h.resident = append(h.resident, make([]uint64, n-len(h.resident))...)
 }
 
 // Contains reports whether the line containing addr is present (any level).
@@ -476,12 +524,28 @@ func (h *Hierarchy) Contains(addr uint64) bool {
 
 // InvalidateRange removes all lines overlapping [addr, addr+n) — used when a
 // page is invalidated under the SVM protocol, so stale data cannot be read
-// from the cache after a page fetch replaces the page.
+// from the cache after a page fetch replaces the page. Only lines whose
+// residency bit is set are visited, so the cost is proportional to what the
+// range has cached, not to its length.
 func (h *Hierarchy) InvalidateRange(addr uint64, n int) {
-	line := uint64(h.cfg.Line)
-	first := addr &^ (line - 1)
-	for a := first; a < addr+uint64(n); a += line {
-		h.SetState(a, Invalid)
+	if n <= 0 {
+		return
+	}
+	first := addr >> h.lineShift
+	last := (addr + uint64(n) - 1) >> h.lineShift
+	nw := uint64(len(h.resident))
+	for wi := first >> 6; wi <= last>>6 && wi < nw; wi++ {
+		word := h.resident[wi]
+		if wi == first>>6 {
+			word &= ^uint64(0) << (first & 63)
+		}
+		if wi == last>>6 {
+			word &= ^uint64(0) >> (63 - last&63)
+		}
+		for word != 0 {
+			h.invalidateLine(wi<<6 | uint64(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
 }
 
@@ -496,11 +560,15 @@ func (h *Hierarchy) LinesL2(f func(lineAddr uint64, st State)) {
 	}
 }
 
-// CheckInclusion verifies the multilevel inclusion property: every valid L1
-// line must also be present in L2. Access maintains this by back-invalidating
-// L1 on L2 eviction; a violation means a protocol path mutated one level
-// without the other.
-func (h *Hierarchy) CheckInclusion() error {
+// CheckInvariants audits the hierarchy's own bookkeeping:
+//
+//   - multilevel inclusion: every valid L1 line is also present in L2.
+//     Access maintains this by back-invalidating L1 on L2 eviction; a
+//     violation means a protocol path mutated one level without the other;
+//   - the residency bitmap agrees with the L2 tags in both directions: every
+//     valid L2 line has its bit set (or InvalidateRange would skip a stale
+//     line), and every set bit names a line L2 holds.
+func (h *Hierarchy) CheckInvariants() error {
 	for i := range h.l1.ways {
 		w := &h.l1.ways[i]
 		if w.st == Invalid {
@@ -509,6 +577,24 @@ func (h *Hierarchy) CheckInclusion() error {
 		if _, _, ok := h.l2.lookup(w.tag); !ok {
 			return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)",
 				w.tag, w.st)
+		}
+	}
+	for i := range h.l2.ways {
+		w := &h.l2.ways[i]
+		if w.st == Invalid {
+			continue
+		}
+		if wi := w.tag >> 6; wi >= uint64(len(h.resident)) || h.resident[wi]&(1<<(w.tag&63)) == 0 {
+			return fmt.Errorf("cache: L2 line %#x (state %s) missing from the residency bitmap", w.tag, w.st)
+		}
+	}
+	for wi, word := range h.resident {
+		for word != 0 {
+			la := uint64(wi)<<6 | uint64(bits.TrailingZeros64(word))
+			if _, _, ok := h.l2.lookup(la); !ok {
+				return fmt.Errorf("cache: residency bitmap marks line %#x, which L2 does not hold", la)
+			}
+			word &= word - 1
 		}
 	}
 	return nil
@@ -521,6 +607,7 @@ func (h *Hierarchy) Flush() {
 			l.ways[i].st = Invalid
 		}
 	}
+	clear(h.resident)
 }
 
 // Reset returns the hierarchy to its exact post-New state — cold tag arrays,
@@ -529,6 +616,7 @@ func (h *Hierarchy) Flush() {
 func (h *Hierarchy) Reset() {
 	clear(h.l1.ways)
 	clear(h.l2.ways)
+	clear(h.resident)
 	h.clock = 0
 	h.Accesses = 0
 	h.L1Misses = 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -161,5 +162,76 @@ func TestMissCounters(t *testing.T) {
 	h.Access(0x1000, false, Exclusive)
 	if h.Accesses != 2 || h.L2Misses != 1 || h.L1Misses != 1 {
 		t.Errorf("counters = %d/%d/%d, want 2/1/1", h.Accesses, h.L1Misses, h.L2Misses)
+	}
+}
+
+func TestInvalidateRangeUnalignedBounds(t *testing.T) {
+	h := New(testConfig())
+	for a := uint64(0x4000); a < 0x4400; a += 32 {
+		h.Access(a, false, Exclusive)
+	}
+	// [0x4010, 0x4050) overlaps lines 0x4000, 0x4020 and 0x4040 only.
+	h.InvalidateRange(0x4010, 0x40)
+	for a := uint64(0x4000); a < 0x4400; a += 32 {
+		if want := a >= 0x4060; h.Contains(a) != want {
+			t.Errorf("line %#x present = %v, want %v", a, !want, want)
+		}
+	}
+	h.InvalidateRange(0x4060, 0) // empty range
+	if !h.Contains(0x4060) {
+		t.Error("empty range invalidated a line")
+	}
+	h.InvalidateRange(1<<40, 4096) // far beyond anything ever filled
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The residency bitmap is what lets InvalidateRange skip absent lines, so
+// the audit must catch a disagreement with the L2 tags in either
+// direction: a resident line whose bit is clear would survive page
+// invalidation with stale data, and a stray bit would make invalidation
+// chase lines that are not there.
+func TestCheckInvariantsAuditsResidencyBitmap(t *testing.T) {
+	h := New(testConfig())
+	for a := uint64(0x1000); a < 0x2000; a += 32 {
+		h.Access(a, a&64 != 0, Exclusive)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("clean hierarchy: %v", err)
+	}
+	la := h.LineOf(0x1040)
+	bit := uint64(1) << (la & 63)
+
+	h.resident[la>>6] &^= bit // resident line, bit lost
+	if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "missing from the residency bitmap") {
+		t.Errorf("cleared bit of resident line %#x: err = %v", la, err)
+	}
+	h.resident[la>>6] |= bit
+
+	h.SetState(0x1040, Invalid)
+	h.resident[la>>6] |= bit // absent line, bit set
+	if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Errorf("stray bit for absent line %#x: err = %v", la, err)
+	}
+}
+
+// Every path that moves a line out of L2 clears its bit: conflict eviction,
+// SetState(Invalid), InvalidateRange, Flush and Reset.
+func TestResidencyBitmapTracksL2(t *testing.T) {
+	h := New(testConfig()) // 8 KB 2-way L2: lines 4 KB apart share a set
+	h.Access(0x0000, false, Exclusive)
+	h.Access(0x1000, false, Exclusive)
+	h.Access(0x2000, false, Exclusive) // evicts 0x0000
+	h.SetState(0x1000, Invalid)
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, drop := range []func(){h.Flush, h.Reset} {
+		h.Access(0x3000, true, Exclusive)
+		drop()
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -39,6 +39,23 @@ func TestFigureCellsPassInvariantChecking(t *testing.T) {
 	}
 }
 
+// Regression: machines wider than 64 processors must keep every processor in
+// the line table. The sharer set was one uint64 and 1<<m is 0 for m >= 64,
+// so processors 64-127 were never recorded as sharers and never
+// invalidated; the checker caught it as "member 64 caches line ... unknown
+// to the line table" on exactly these cells.
+func TestWideHardwareMachinesPassInvariantChecking(t *testing.T) {
+	for _, c := range []struct{ app, version, plat string }{
+		{"radix", "orig", "smp"},
+		{"volrend", "orig", "dsm"},
+	} {
+		spec := harness.Spec{App: c.app, Version: c.version, Platform: c.plat, NumProcs: 128, Scale: 0.25, Check: true}
+		if _, err := harness.Execute(spec); err != nil {
+			t.Errorf("%s/%s on %s at P=128: %v", c.app, c.version, c.plat, err)
+		}
+	}
+}
+
 // Running the same experiment twice must produce byte-identical JSON: one
 // representative cell per application, rotating over the platforms so every
 // protocol model gets differential coverage.

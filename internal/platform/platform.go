@@ -46,8 +46,15 @@ func Known(name string) bool {
 	return false
 }
 
-// Make builds the named platform over the given address space.
+// Make builds the named platform over the given address space. A hardware-
+// coherent preset with more processors than one line engine can hold is
+// refused with a *sim.ConfigError.
 func Make(name string, as *mem.AddressSpace, np int) (sim.Platform, error) {
+	if IsHardwareCoherent(name) {
+		if err := protocol.CheckMembers(np); err != nil {
+			return nil, err
+		}
+	}
 	switch name {
 	case "svm":
 		return svm.New(as, svm.DefaultParams(), np), nil

@@ -80,14 +80,14 @@ func (b *SnoopBus) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr u
 	k.Emit(trace.BusOccupy, b.Acct.TraceID, start, la, occ)
 
 	if write {
-		remoteOwner := le.Owner >= 0 && int(le.Owner) != m
-		remoteSharers := le.Sharers&^(1<<uint(m)) != 0
+		remoteOwner := le.Owner() >= 0 && le.Owner() != m
+		remoteSharers := le.OtherSharers(m)
 		var lat uint64
 		comm := false
 		switch {
 		case remoteOwner:
 			lat = b.P.C2CLat
-			e.Caches[le.Owner].SetState(addr, cache.Invalid)
+			e.Caches[le.Owner()].SetState(addr, cache.Invalid)
 			comm = true
 		case remoteSharers:
 			n := e.InvalidateSharers(le, m, addr)
@@ -116,7 +116,7 @@ func (b *SnoopBus) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr u
 			}
 		}
 	} else {
-		if le.Owner >= 0 && int(le.Owner) != m {
+		if o := le.Owner(); o >= 0 && o != m {
 			// Owner supplies the line (cache-to-cache) and downgrades.
 			e.DowngradeOwner(le, addr)
 			cost.DataWait += wait + b.P.C2CLat

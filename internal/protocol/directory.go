@@ -50,8 +50,8 @@ func (t *Directory) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr 
 	switch {
 	case write:
 		var base uint64
-		remoteOwner := le.Owner >= 0 && int(le.Owner) != m
-		remoteSharers := le.Sharers&^(1<<uint(m)) != 0
+		remoteOwner := le.Owner() >= 0 && le.Owner() != m
+		remoteSharers := le.OtherSharers(m)
 		switch {
 		case remoteOwner:
 			// 3-hop: fetch dirty line from owner, invalidate it.
@@ -59,11 +59,11 @@ func (t *Directory) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr 
 			if home == m {
 				base = t.P.RemoteDirty - 50
 			}
-			e.Caches[le.Owner].SetState(addr, cache.Invalid)
+			e.Caches[le.Owner()].SetState(addr, cache.Invalid)
 			c.ThreeHopMisses++
 			c.RemoteMisses++
 			kind = trace.Miss3Hop
-		case remoteSharers || le.Sharers&(1<<uint(m)) != 0 && e.HasLine(m, addr):
+		case remoteSharers || le.Sharer(m) && e.HasLine(m, addr):
 			// Upgrade (or fetch+invalidate) with sharers.
 			base = t.P.UpgradeBase
 			if home != m {
@@ -95,7 +95,7 @@ func (t *Directory) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr 
 
 	default: // read miss
 		var base uint64
-		if le.Owner >= 0 && int(le.Owner) != m {
+		if o := le.Owner(); o >= 0 && o != m {
 			// 3-hop: owner supplies the line and downgrades.
 			base = t.P.RemoteDirty
 			e.DowngradeOwner(le, addr)

@@ -92,10 +92,16 @@ func (w *HW) Transport() Transport { return w.tr }
 // LineSize reports the coherence line size for range accesses.
 func (w *HW) LineSize() int { return w.cfg.Line }
 
-// Attach implements sim.Platform.
+// Attach implements sim.Platform. A reattached machine resets its engine
+// in place, so a repeated run starts from the same cold state without
+// reallocating caches or line table.
 func (w *HW) Attach(k *sim.Kernel) {
 	w.k = k
-	w.Eng = NewLineEngine(w.sts, w.cfg, w.np)
+	if w.Eng == nil {
+		w.Eng = NewLineEngine(w.sts, w.cfg, w.np)
+	} else {
+		w.Eng.Reset()
+	}
 	w.tr.Reset()
 }
 

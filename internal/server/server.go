@@ -245,14 +245,20 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, admit bool, fn func
 	ch := make(chan out, 1)
 	s.mx.inflight.Add(1)
 	go func() {
-		defer func() {
-			s.mx.inflight.Add(-1)
-			if admit {
-				<-s.slots
-			}
+		var o out
+		// Release the slot and the gauge before handing the reply over, so
+		// a client that has read the reply never sees this request still
+		// in flight on /metrics.
+		func() {
+			defer func() {
+				s.mx.inflight.Add(-1)
+				if admit {
+					<-s.slots
+				}
+			}()
+			o.body, o.contentType, o.code = fn(ctx)
 		}()
-		body, ct, code := fn(ctx)
-		ch <- out{body, ct, code}
+		ch <- o
 	}()
 	select {
 	case o := <-ch:

@@ -70,7 +70,11 @@ func TestDiffApplyDropsHomeClusterLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	la := a / uint64(pl.LineSize())
-	if e, ok := pl.lineEng[0].Lines[la]; ok && e.Sharers != 0 {
-		t.Errorf("home cluster line table still lists sharers %#x after diff apply", e.Sharers)
+	if e, ok := pl.lineEng[0].Lookup(la); ok {
+		for q := 0; q < pl.lineEng[0].NP; q++ {
+			if e.Sharer(q) || e.Owner() == q {
+				t.Errorf("home cluster line table still lists member %d after diff apply (owner %d)", q, e.Owner())
+			}
+		}
 	}
 }

@@ -115,14 +115,11 @@ func (s *Platform) MemberRange(dom int) (int, int) {
 // contents changed (fetch or applied diff), so sharer/owner entries would
 // otherwise survive for copies no cache holds.
 func (s *Platform) dropPageLines(cid int, pg uint64) {
-	base := pg * s.P.SVM.PageSize
+	base, n := pg*s.P.SVM.PageSize, int(s.P.SVM.PageSize)
 	for _, h := range s.lineEng[cid].Caches {
-		h.InvalidateRange(base, int(s.P.SVM.PageSize))
+		h.InvalidateRange(base, n)
 	}
-	lineSz := uint64(s.LineSize())
-	for la := base / lineSz; la <= (base+s.P.SVM.PageSize-1)/lineSz; la++ {
-		delete(s.lineEng[cid].Lines, la)
-	}
+	s.lineEng[cid].DropLines(base, n)
 }
 
 // PageArrived implements protocol.PageHost.
@@ -131,10 +128,19 @@ func (s *Platform) PageArrived(dom int, pg uint64) { s.dropPageLines(dom, pg) }
 // DiffApplied implements protocol.PageHost.
 func (s *Platform) DiffApplied(home int, pg uint64) { s.dropPageLines(home, pg) }
 
-// Attach implements sim.Platform.
+// Attach implements sim.Platform. A reattached platform resets its cluster
+// engines and buses in place instead of rebuilding them.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
 	s.eng.Init(k, int(s.as.NumPages())+1)
+	s.lockCl = map[int]int{}
+	if s.lineEng != nil {
+		for c := range s.lineEng {
+			s.lineEng[c].Reset()
+			s.buses[c].Reset()
+		}
+		return
+	}
 	s.caches = make([]*cache.Hierarchy, s.np)
 	s.lineEng = make([]*protocol.LineEngine, s.nc)
 	s.buses = make([]*protocol.SnoopBus, s.nc)
@@ -154,7 +160,6 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		}
 		copy(s.caches[c*s.P.ClusterSize:], s.lineEng[c].Caches)
 	}
-	s.lockCl = map[int]int{}
 }
 
 // Prevalidate implements sim.Prevalidator at cluster granularity.
