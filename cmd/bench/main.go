@@ -56,7 +56,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/svm"
 	"repro/internal/trace"
 )
@@ -211,12 +210,12 @@ func runMicro() map[string]Micro {
 	// engine, then the page's lines dropped, as svmsmp does when a page's
 	// contents change under a cluster.
 	m["line_table_entry"] = microBench(func(b *testing.B) {
-		e := protocol.NewLineEngine(protocol.MESI, smp.CacheConfig, 4)
+		e := protocol.NewLineEngine(protocol.MESI, protocol.BusCacheConfig, 4)
 		const npages = 64
 		for pg := uint64(0); pg < npages; pg++ {
-			e.Entry(pg * platform.PageSize / uint64(smp.CacheConfig.Line)) // allocate the chunks
+			e.Entry(pg * platform.PageSize / uint64(protocol.BusCacheConfig.Line)) // allocate the chunks
 		}
-		lines := uint64(platform.PageSize / smp.CacheConfig.Line)
+		lines := uint64(platform.PageSize / protocol.BusCacheConfig.Line)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -19,19 +20,19 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/stats"
+	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
 func main() {
 	app := flag.String("app", "lu", "application name")
 	version := flag.String("version", "orig", "application version")
-	plat := flag.String("platform", "svm", "platform: svm, smp, dsm")
+	plat := flag.String("platform", "svm", fmt.Sprintf("platform, one of %v", platform.PresetNames()))
 	np := flag.Int("p", 16, "number of simulated processors")
 	scale := flag.Float64("scale", 1.0, "problem size scale factor")
 	speedup := flag.Bool("speedup", false, "also compute speedup vs uniprocessor original")
 	freecs := flag.Bool("freecs", false, "paper diagnostic: page faults inside critical sections are free")
-	hot := flag.Bool("hot", false, "print the SVM hot-page / hot-lock profile (paper §6's performance tool)")
+	hot := flag.Bool("hot", false, "print the hot-page / hot-lock profile (paper §6's performance tool)")
 	list := flag.Bool("list", false, "list applications and versions")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
 	traceBuf := flag.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
@@ -75,23 +76,23 @@ func main() {
 		spec.SampleInterval = *sample
 	}
 
-	// Execution path: -hot needs the profiling hook (never cached), and
-	// trace-carrying specs bypass the cache inside Memo.Run; everything
-	// else goes through the memo so -store can answer without simulating.
+	// -hot counts the run's protocol events in one more sink.
+	var hotPages *trace.Counting
+	if *hot {
+		// -p 0 runs the harness default of 16 processors.
+		hotPages = trace.NewCounting(cmp.Or(*np, 16))
+		spec.TraceSink = trace.Tee(spec.TraceSink, hotPages)
+	}
+
+	// Trace-carrying specs (-trace, -sample, -hot) bypass the cache inside
+	// Memo.Run; everything else goes through the memo so -store can answer
+	// without simulating.
 	memo, merr := campaign.OpenMemo(*storeDir)
 	if merr != nil {
 		fmt.Fprintln(os.Stderr, "svmsim:", merr)
 		os.Exit(1)
 	}
-
-	var run *stats.Run
-	var report string
-	var err error
-	if *hot {
-		run, report, err = harness.ExecuteProfiled(spec)
-	} else {
-		run, err = memo.Run(spec)
-	}
+	run, err := memo.Run(spec)
 	if chrome != nil {
 		if cerr := chrome.Close(); cerr != nil && err == nil {
 			fmt.Fprintln(os.Stderr, "svmsim: writing trace:", cerr)
@@ -134,8 +135,8 @@ func main() {
 	}
 
 	fmt.Print(run.BreakdownTable())
-	if report != "" {
-		fmt.Print(report)
+	if hotPages != nil {
+		fmt.Print(hotPages.Report(10))
 	}
 	c := run.AggregateCounters()
 	fmt.Printf("counters: reads=%d writes=%d faults=%d fetches=%d twins=%d diffs=%d inval=%d locks=%d remote=%d bus=%d tasks=%d stolen=%d\n",

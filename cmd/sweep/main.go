@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 
 	_ "repro/internal/apps"
@@ -38,10 +39,22 @@ func parseProcs(s string) ([]int, error) {
 	return campaign.ParseProcs(s)
 }
 
+// parsePlatform resolves the -platform flag: empty means the paper's
+// platforms, anything else must name a preset.
+func parsePlatform(s string) ([]string, error) {
+	if s == "" {
+		return platform.PaperNames(), nil
+	}
+	if !slices.Contains(platform.PresetNames(), s) {
+		return nil, fmt.Errorf("unknown platform %q (want one of %v)", s, platform.PresetNames())
+	}
+	return []string{s}, nil
+}
+
 func main() {
 	app := flag.String("app", "ocean", "application name")
 	version := flag.String("version", "rows", "application version")
-	plat := flag.String("platform", "", "platform; empty = all three")
+	plat := flag.String("platform", "", fmt.Sprintf("platform, one of %v; empty = the paper's %v", platform.PresetNames(), platform.PaperNames()))
 	procs := flag.String("procs", "1,2,4,8,16", "comma-separated processor counts")
 	scale := flag.Float64("scale", 1, "problem size scale factor")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
@@ -53,9 +66,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	plats := platform.Names
-	if *plat != "" {
-		plats = []string{*plat}
+	plats, err := parsePlatform(*plat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
 	}
 
 	memo, err := campaign.OpenMemo(*storeDir)

@@ -63,3 +63,17 @@ func FuzzParseProcs(f *testing.F) {
 		}
 	})
 }
+
+// An unknown -platform is a usage error caught before any cell is
+// simulated; empty selects the paper's platforms.
+func TestParsePlatform(t *testing.T) {
+	if got, err := parsePlatform(""); err != nil || !reflect.DeepEqual(got, []string{"svm", "smp", "dsm"}) {
+		t.Errorf(`parsePlatform("") = %v, %v`, got, err)
+	}
+	if got, err := parsePlatform("dsm-msi"); err != nil || !reflect.DeepEqual(got, []string{"dsm-msi"}) {
+		t.Errorf(`parsePlatform("dsm-msi") = %v, %v`, got, err)
+	}
+	if got, err := parsePlatform("vax"); err == nil || !strings.Contains(err.Error(), "svmsmp") {
+		t.Errorf(`parsePlatform("vax") = %v, %v; want an error listing the presets`, got, err)
+	}
+}

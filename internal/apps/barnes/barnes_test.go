@@ -42,7 +42,7 @@ func TestBarnesCorrectAllVersions(t *testing.T) {
 }
 
 func TestBarnesAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runBarnes(t, "spatial", pl, 4, 0.25) })
 	}
 }

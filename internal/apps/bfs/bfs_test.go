@@ -34,7 +34,7 @@ func TestAllVersionsRunAndVerify(t *testing.T) {
 }
 
 func TestAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runBFS(t, "dir", pl, 4, 0.25) })
 	}
 }

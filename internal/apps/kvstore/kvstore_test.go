@@ -36,7 +36,7 @@ func TestAllVersionsRunAndVerify(t *testing.T) {
 }
 
 func TestAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runKV(t, "shard", pl, 4, 0.25) })
 	}
 }

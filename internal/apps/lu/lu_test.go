@@ -40,7 +40,7 @@ func TestLUCorrectAllVersionsSVM(t *testing.T) {
 }
 
 func TestLUCorrectAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runLU(t, "4da", pl, 4, 0.25) })
 	}
 }

@@ -40,7 +40,7 @@ func TestOceanCorrectAllVersionsSVM(t *testing.T) {
 }
 
 func TestOceanCorrectAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runOcean(t, "rows", pl, 4, 0.25) })
 	}
 }

@@ -41,7 +41,7 @@ func TestRadixSortsAllVersions(t *testing.T) {
 }
 
 func TestRadixAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runRadix(t, "orig", pl, 4, 0.125) })
 	}
 }

@@ -40,7 +40,7 @@ func TestRaytraceCorrectAllVersions(t *testing.T) {
 }
 
 func TestRaytraceAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runRT(t, "splitq", pl, 4, 0.5) })
 	}
 }

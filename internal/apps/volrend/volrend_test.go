@@ -40,7 +40,7 @@ func TestVolrendCorrectAllVersions(t *testing.T) {
 }
 
 func TestVolrendAcrossPlatforms(t *testing.T) {
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		t.Run(pl, func(t *testing.T) { runVolrend(t, "balanced", pl, 4, 0.5) })
 	}
 }

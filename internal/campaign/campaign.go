@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,8 +182,8 @@ func (s *Spec) validate() error {
 		}
 	}
 	for _, pl := range s.Platforms {
-		if !platform.Known(pl) {
-			return fmt.Errorf("campaign: unknown platform %q", pl)
+		if !slices.Contains(platform.PresetNames(), pl) {
+			return fmt.Errorf("campaign: unknown platform %q (want one of %v)", pl, platform.PresetNames())
 		}
 	}
 	for _, np := range s.Procs {

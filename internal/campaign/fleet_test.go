@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -193,6 +194,51 @@ func TestFleetCancelResume(t *testing.T) {
 	lrep, _ := local.Run(context.Background())
 	if got, want := rep2.Manifest(), lrep.Manifest(); got != want {
 		t.Errorf("resumed fleet manifest differs from local:\n--- local\n%s\n--- fleet\n%s", want, got)
+	}
+}
+
+// TestStopAfterBudget pins StopAfter's rule on both executors: at most
+// StopAfter new cells are journaled and counted, no executor is handed more,
+// and the run is Interrupted exactly when StopAfter < len(pending).
+func TestStopAfterBudget(t *testing.T) {
+	cells, err := runSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newTestFleet(t, 3)
+	served := func() uint64 {
+		return f.metricTotal(t, `svmserve_campaign_cells_total{status="done"}`) +
+			f.metricTotal(t, `svmserve_campaign_cells_total{status="failed"}`)
+	}
+	for _, stop := range []int{1, 4, len(cells) - 1, len(cells), len(cells) + 3} {
+		for _, name := range []string{"local", "fleet"} {
+			var execs atomic.Uint64
+			var exec Executor = &Local{Memo: stubMemo(&execs), Workers: 4}
+			before := served()
+			if name == "fleet" {
+				exec = fleetExec(f)
+			}
+			r := &Runner{Name: "runtest", Cells: cells, Exec: exec, StopAfter: stop}
+			rep, err := r.Run(context.Background())
+			want := min(stop, len(cells))
+			interrupted := stop < len(cells)
+			if rep.Executed != want || len(rep.Entries) != want || rep.Interrupted != interrupted {
+				t.Errorf("%s StopAfter=%d: executed %d, entries %d, interrupted %v; want %d, %d, %v",
+					name, stop, rep.Executed, len(rep.Entries), rep.Interrupted, want, want, interrupted)
+			}
+			if (err != nil) != interrupted || (err != nil && !errors.Is(err, ErrStopped)) {
+				t.Errorf("%s StopAfter=%d: err = %v", name, stop, err)
+			}
+			var handed uint64
+			if name == "local" {
+				handed = execs.Load()
+			} else {
+				handed = served() - before
+			}
+			if handed != uint64(want) {
+				t.Errorf("%s StopAfter=%d: executor ran %d cells, want %d", name, stop, handed, want)
+			}
+		}
 	}
 }
 

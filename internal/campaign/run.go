@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -165,9 +166,13 @@ type Runner struct {
 	// OnEntry, when non-nil, is called after each cell is journaled —
 	// from executor goroutines, so it must be safe for concurrent use.
 	OnEntry func(Cell, Entry)
-	// StopAfter, when positive, cancels the run after that many newly
-	// journaled cells — the deterministic "kill it mid-flight" used by
-	// the resume tests and the CI smoke.
+	// StopAfter, when positive, is the run's budget of new cells — the
+	// deterministic "kill it mid-flight" used by the resume tests and the
+	// CI smoke. Only the first StopAfter pending cells (manifest order)
+	// reach the executor, so at most StopAfter new cells are journaled and
+	// counted, and the rest stay pending for the resume. The run is
+	// Interrupted exactly when StopAfter is less than the pending count,
+	// on every executor.
 	StopAfter int
 }
 
@@ -181,8 +186,8 @@ type Report struct {
 	Entries map[string]Entry
 	// Resumed counts cells already complete in the journal; Executed
 	// counts cells this run completed; Interrupted reports whether the
-	// run stopped (ctx canceled or StopAfter reached) with cells still
-	// pending.
+	// run stopped (ctx canceled or the StopAfter budget spent) with cells
+	// still pending.
 	Resumed     int
 	Executed    int
 	Interrupted bool
@@ -199,10 +204,15 @@ func (rep *Report) Failed() []Entry {
 	return out
 }
 
+// ErrStopped is returned by Run when the StopAfter budget left cells
+// pending.
+var ErrStopped = errors.New("campaign: stopped at the StopAfter budget")
+
 // Run expands nothing and retries nothing itself: it skips cells the
 // journal already settled, hands the rest to the executor, and journals
-// completions as they arrive. It returns ctx.Err when interrupted; the
-// report is valid either way.
+// completions as they arrive. When interrupted it returns ctx.Err, or
+// ErrStopped when the StopAfter budget ended the run; the report is valid
+// either way.
 func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	rep := &Report{
 		Name:    r.Name,
@@ -227,9 +237,11 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	if len(pending) == 0 {
 		return rep, nil
 	}
+	budgeted := pending
+	if r.StopAfter > 0 && r.StopAfter < len(pending) {
+		budgeted = pending[:r.StopAfter]
+	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var mu sync.Mutex
 	emit := func(o Outcome) {
 		e := entryFor(o)
@@ -244,24 +256,24 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		}
 		rep.Entries[o.Cell.Key] = e
 		rep.Executed++
-		stop := r.StopAfter > 0 && rep.Executed >= r.StopAfter
 		mu.Unlock()
 		if r.OnEntry != nil {
 			r.OnEntry(o.Cell, e)
 		}
-		if stop {
-			cancel()
-		}
 	}
-	r.Exec.Execute(ctx, pending, emit)
+	r.Exec.Execute(ctx, budgeted, emit)
 
 	mu.Lock()
 	rep.Interrupted = rep.Executed < len(pending)
 	mu.Unlock()
-	if err := ctx.Err(); err != nil && rep.Interrupted {
-		return rep, err
+	switch {
+	case !rep.Interrupted:
+		return rep, nil
+	case ctx.Err() != nil:
+		return rep, ctx.Err()
+	default:
+		return rep, ErrStopped
 	}
-	return rep, nil
 }
 
 // Manifest renders the campaign's deterministic summary: one line per

@@ -55,7 +55,7 @@ func TestIrregularFingerprintsAcrossAllPresetsAndProcCounts(t *testing.T) {
 			t.Run(app+"/"+v.Name, func(t *testing.T) {
 				var first uint64
 				firstCell := ""
-				for _, plat := range platform.AllPresets {
+				for _, plat := range platform.PresetNames() {
 					for _, np := range irregularProcs {
 						_, fp, ok, err := harness.ExecuteFingerprint(harness.Spec{
 							App: app, Version: v.Name, Platform: plat,
@@ -86,7 +86,7 @@ func TestIrregularFingerprintsAcrossAllPresetsAndProcCounts(t *testing.T) {
 // also the guaranteed-checked cell per app x platform combination.
 func TestIrregularRunTwiceByteIdenticalEveryPreset(t *testing.T) {
 	for _, app := range irregularApps {
-		for _, plat := range platform.AllPresets {
+		for _, plat := range platform.PresetNames() {
 			spec := harness.Spec{
 				App: app, Version: firstVersion(t, app), Platform: plat,
 				NumProcs: sweepProcs, Scale: sweepScale, Check: true,

@@ -132,7 +132,7 @@ func fig2Cells() []Cell {
 	var cells []Cell
 	for _, app := range core.PaperApps() {
 		a, _ := core.Lookup(app)
-		for _, pl := range platform.Names {
+		for _, pl := range platform.PaperNames() {
 			cells = append(cells, Cell{App: app, Version: a.Versions()[0].Name, Platform: pl, Speedup: true})
 		}
 	}
@@ -143,7 +143,7 @@ func fig2(r *Runner) (string, error) {
 	var b strings.Builder
 	var fails []string
 	fmt.Fprintf(&b, "%-10s", "app")
-	for _, pl := range platform.Names {
+	for _, pl := range platform.PaperNames() {
 		fmt.Fprintf(&b, " %8s", pl)
 	}
 	fmt.Fprintln(&b)
@@ -151,7 +151,7 @@ func fig2(r *Runner) (string, error) {
 		a, _ := core.Lookup(app)
 		orig := a.Versions()[0].Name
 		fmt.Fprintf(&b, "%-10s", app)
-		for _, pl := range platform.Names {
+		for _, pl := range platform.PaperNames() {
 			s, err := r.Speedup(app, orig, pl)
 			if err != nil {
 				fmt.Fprintf(&b, " %8s", "error")
@@ -171,7 +171,7 @@ func fig16Cells() []Cell {
 	for _, app := range core.PaperApps() {
 		a, _ := core.Lookup(app)
 		for _, v := range a.Versions() {
-			for _, pl := range platform.Names {
+			for _, pl := range platform.PaperNames() {
 				cells = append(cells, Cell{App: app, Version: v.Name, Platform: pl, Speedup: true})
 			}
 		}
@@ -186,13 +186,13 @@ func fig16(r *Runner) (string, error) {
 		a, _ := core.Lookup(app)
 		fmt.Fprintf(&b, "%s:\n", app)
 		fmt.Fprintf(&b, "  %-12s %-5s", "version", "class")
-		for _, pl := range platform.Names {
+		for _, pl := range platform.PaperNames() {
 			fmt.Fprintf(&b, " %8s", pl)
 		}
 		fmt.Fprintln(&b)
 		for _, v := range a.Versions() {
 			fmt.Fprintf(&b, "  %-12s %-5s", v.Name, v.Class)
-			for _, pl := range platform.Names {
+			for _, pl := range platform.PaperNames() {
 				s, err := r.Speedup(app, v.Name, pl)
 				if err != nil {
 					fmt.Fprintf(&b, " %8s", "error")

@@ -110,17 +110,8 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 
 // Execute runs one experiment and returns its statistics.
 func Execute(s Spec) (*stats.Run, error) {
-	run, _, _, err := execute(s, false)
+	run, _, err := execute(s)
 	return run, err
-}
-
-// ExecuteProfiled runs one experiment with the SVM hot-page/hot-lock
-// profiler enabled (§6's wished-for performance tool) and returns the
-// profile report alongside the statistics. On the hardware platforms the
-// report is empty.
-func ExecuteProfiled(s Spec) (*stats.Run, string, error) {
-	run, report, _, err := execute(s, true)
-	return run, report, err
 }
 
 // ExecuteFingerprint runs one experiment and additionally returns the
@@ -128,9 +119,9 @@ func ExecuteProfiled(s Spec) (*stats.Run, string, error) {
 // (ok=false otherwise). The determinism harness compares fingerprints
 // across repetitions, platforms and processor counts.
 func ExecuteFingerprint(s Spec) (run *stats.Run, fp uint64, ok bool, err error) {
-	run, _, inst, err := execute(s, false)
+	run, inst, err := execute(s)
 	if err != nil {
-		return run, 0, false, err
+		return nil, 0, false, err
 	}
 	if f, has := inst.(core.Fingerprinter); has {
 		return run, f.Fingerprint(), true, nil
@@ -151,30 +142,23 @@ func buildInstance(a core.App, version string, scale float64, as *mem.AddressSpa
 	return a.Build(version, scale, as, np)
 }
 
-func execute(s Spec, profile bool) (*stats.Run, string, core.Instance, error) {
+func execute(s Spec) (*stats.Run, core.Instance, error) {
 	s = s.withDefaults()
 	a, err := core.Lookup(s.App)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	if _, err := core.FindVersion(a, s.Version); err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	as := mem.NewAddressSpace(platform.PageSize, s.NumProcs)
 	inst, err := buildInstance(a, s.Version, s.Scale, as, s.NumProcs)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	pl, err := platform.Make(s.Platform, as, s.NumProcs)
 	if err != nil {
-		return nil, "", nil, err
-	}
-	prof, _ := pl.(interface {
-		EnableProfiling()
-		ProfileReport(n int) string
-	})
-	if profile && prof != nil {
-		prof.EnableProfiling()
+		return nil, nil, err
 	}
 	k := sim.New(pl, sim.Config{
 		NumProcs:       s.NumProcs,
@@ -198,18 +182,14 @@ func execute(s Spec, profile bool) (*stats.Run, string, core.Instance, error) {
 		// come back as structured errors; label the cell and pass them
 		// through so a figure run can print an error row instead of
 		// crashing.
-		return nil, "", nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	if !s.SkipVerify {
 		if err := inst.Verify(); err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
+			return nil, nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
 		}
 	}
-	report := ""
-	if profile && prof != nil {
-		report = prof.ProfileReport(10)
-	}
-	return run, report, inst, nil
+	return run, inst, nil
 }
 
 // Runner executes experiments with a cache of uniprocessor baselines. Scale
@@ -230,14 +210,6 @@ type Runner struct {
 	Check bool
 
 	memo *Memo
-}
-
-// memoEntry is one singleflight slot: the goroutine that claims a key
-// executes the experiment and closes done; every other requester waits.
-type memoEntry struct {
-	done chan struct{}
-	run  *stats.Run
-	err  error
 }
 
 // NewRunner creates a Runner for the given processor count and scale, with
@@ -263,12 +235,6 @@ func (r *Runner) CacheStats() CacheStats { return r.memo.Stats() }
 // count and scale.
 func (r *Runner) Run(app, version, plat string) (*stats.Run, error) {
 	return r.memo.Run(Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check})
-}
-
-// Record inserts an externally-executed run into the memo cache (used by the
-// CLI to avoid re-running the experiment it just printed).
-func (r *Runner) Record(app, version, plat string, run *stats.Run) {
-	r.memo.Record(Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check}, run)
 }
 
 // Baseline returns the uniprocessor execution time of the original version

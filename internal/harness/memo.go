@@ -78,6 +78,14 @@ type StoredError struct {
 
 func (e *StoredError) Error() string { return e.Msg }
 
+// memoEntry is one singleflight slot: the goroutine that claims a key
+// executes the experiment and closes done; every other requester waits.
+type memoEntry struct {
+	done chan struct{}
+	run  *stats.Run
+	err  error
+}
+
 // claim returns the singleflight entry for key, creating it if absent; the
 // second result reports whether the caller claimed it and must fill the
 // entry and close done.
@@ -114,19 +122,6 @@ func (m *Memo) Run(s Spec) (*stats.Run, error) {
 	}
 	<-e.done
 	return e.run, e.err
-}
-
-// Record inserts an externally-executed result for s into the in-memory
-// tier (not the store: the caller may have run s with observability hooks,
-// whose timing-neutral guarantee we trust but whose provenance we do not
-// persist).
-func (m *Memo) Record(s Spec, run *stats.Run) {
-	s = s.withDefaults()
-	e := &memoEntry{done: make(chan struct{}), run: run}
-	close(e.done)
-	m.mu.Lock()
-	m.runs[s.memoKey()] = e
-	m.mu.Unlock()
 }
 
 func (m *Memo) exec(s Spec) (*stats.Run, error) {

@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestMakeAllPresets(t *testing.T) {
-	for _, name := range append(append([]string{}, Names...), "svmsmp", "smp-msi", "dsm-msi") {
+	for _, name := range PresetNames() {
 		as := mem.NewAddressSpace(PageSize, 8)
 		pl, err := Make(name, as, 8)
 		if err != nil {
@@ -24,20 +25,26 @@ func TestMakeAllPresets(t *testing.T) {
 	}
 }
 
+// An unknown name is refused with an error that lists every preset.
 func TestMakeUnknown(t *testing.T) {
 	as := mem.NewAddressSpace(PageSize, 2)
-	if _, err := Make("vax", as, 2); err == nil {
-		t.Error("expected error for unknown preset")
+	_, err := Make("vax", as, 2)
+	if err == nil {
+		t.Fatal("expected error for unknown preset")
+	}
+	want := "want one of [svm smp dsm svmsmp smp-msi dsm-msi]"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list every preset (%s)", err, want)
 	}
 }
 
-func TestIsHardwareCoherent(t *testing.T) {
-	if IsHardwareCoherent("svm") || IsHardwareCoherent("svmsmp") {
-		t.Error("page-grained platforms misclassified as hardware-coherent")
+// The paper's three platforms lead the table, in paper order.
+func TestPaperNames(t *testing.T) {
+	if got := PaperNames(); !slices.Equal(got, []string{"svm", "smp", "dsm"}) {
+		t.Errorf("PaperNames() = %v", got)
 	}
-	if !IsHardwareCoherent("smp") || !IsHardwareCoherent("dsm") ||
-		!IsHardwareCoherent("smp-msi") || !IsHardwareCoherent("dsm-msi") {
-		t.Error("hardware platforms misclassified")
+	if got := PresetNames(); !slices.Equal(got[:3], PaperNames()) {
+		t.Errorf("PresetNames() = %v does not start with the paper platforms", got)
 	}
 }
 
@@ -46,11 +53,12 @@ func TestIsHardwareCoherent(t *testing.T) {
 // ids; the page-grained presets have no such limit.
 func TestMakeRefusesOversizedLineDomain(t *testing.T) {
 	np := protocol.MaxMembers + 1
-	for _, name := range AllPresets {
+	hardware := map[string]bool{"smp": true, "dsm": true, "smp-msi": true, "dsm-msi": true}
+	for _, name := range PresetNames() {
 		as := mem.NewAddressSpace(PageSize, np)
 		_, err := Make(name, as, np)
 		var ce *sim.ConfigError
-		if IsHardwareCoherent(name) != errors.As(err, &ce) {
+		if hardware[name] != errors.As(err, &ce) {
 			t.Errorf("%s at P=%d: err = %v", name, np, err)
 		}
 	}
@@ -65,7 +73,7 @@ func TestMakeRefusesOversizedLineDomain(t *testing.T) {
 // first and produce the identical result.
 func TestReattachedRunIsIdentical(t *testing.T) {
 	const np = 8
-	for _, name := range AllPresets {
+	for _, name := range PresetNames() {
 		as := mem.NewAddressSpace(PageSize, np)
 		a := as.AllocPages(16 * PageSize)
 		as.DistributeRoundRobin(a, 16*PageSize)

@@ -8,11 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-var (
-	busCfg = cache.Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 1, Line: 128}
-	dirCfg = cache.Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 4, Line: 64}
-)
-
 // slowTransactions runs a read-then-write by one processor on machine pl and
 // returns how many interconnect transactions it took (every SnoopBus and
 // Directory transaction classifies the access as exactly one local or remote
@@ -49,10 +44,10 @@ func TestStateMachineTransportCompositions(t *testing.T) {
 		trKind   string
 		wantTxns uint64
 	}{
-		{NewBusMachine("smp", MESI, busCfg, DefaultBusParams(), 1), MESI, "bus", 1},
-		{NewBusMachine("smp-msi", MSI, busCfg, DefaultBusParams(), 1), MSI, "bus", 2},
-		{NewDirMachine("dsm", MESI, dirCfg, as, DefaultDirParams(), 1), MESI, "directory", 1},
-		{NewDirMachine("dsm-msi", MSI, dirCfg, as, DefaultDirParams(), 1), MSI, "directory", 2},
+		{NewBusMachine("smp", MESI, BusCacheConfig, DefaultBusParams(), 1), MESI, "bus", 1},
+		{NewBusMachine("smp-msi", MSI, BusCacheConfig, DefaultBusParams(), 1), MSI, "bus", 2},
+		{NewDirMachine("dsm", MESI, DirCacheConfig, as, DefaultDirParams(), 1), MESI, "directory", 1},
+		{NewDirMachine("dsm-msi", MSI, DirCacheConfig, as, DefaultDirParams(), 1), MSI, "directory", 2},
 	}
 	for _, tc := range cases {
 		name := tc.pl.Name()
@@ -72,7 +67,7 @@ func TestStateMachineTransportCompositions(t *testing.T) {
 // Under MSI no cache may ever hold a line Exclusive; the unified invariant
 // checker enforces it. Force the state by hand and check it is caught.
 func TestMSICheckerRejectsExclusive(t *testing.T) {
-	pl := NewBusMachine("smp-msi", MSI, busCfg, DefaultBusParams(), 1)
+	pl := NewBusMachine("smp-msi", MSI, BusCacheConfig, DefaultBusParams(), 1)
 	as := mem.NewAddressSpace(4096, 1)
 	a := as.AllocPages(4096)
 	k := sim.New(pl, sim.Config{NumProcs: 1})

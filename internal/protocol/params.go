@@ -1,10 +1,24 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cache"
+)
+
+// BusCacheConfig is the per-processor hierarchy of the paper's bus-based
+// SMP (§2.1.2, an SGI Challenge): 16 KB direct-mapped L1, unified 1 MB
+// direct-mapped L2, 128 B second-level lines.
+var BusCacheConfig = cache.Config{
+	L1Size: 16 << 10, L1Assoc: 1,
+	L2Size: 1 << 20, L2Assoc: 1,
+	Line: 128,
+}
 
 // BusParams are the cycle costs of a snooping-bus interconnect (the paper's
-// SGI Challenge-class SMP at 150 MHz; see internal/smp for the machine
-// description the defaults are calibrated to).
+// SGI Challenge-class SMP at 150 MHz: centralized memory behind a 1.2 GB/s
+// bus, whose occupancy per transaction is what makes bandwidth-heavy codes
+// such as Radix suffer there).
 type BusParams struct {
 	L2HitCost uint64
 	BusArb    uint64 // bus arbitration
@@ -36,8 +50,17 @@ func DefaultBusParams() BusParams {
 	}
 }
 
+// DirCacheConfig is the node hierarchy of the paper's CC-NUMA machine
+// (§2.1.3): 16 KB direct-mapped L1, 1 MB 4-way L2, 64 B lines.
+var DirCacheConfig = cache.Config{
+	L1Size: 16 << 10, L1Assoc: 1,
+	L2Size: 1 << 20, L2Assoc: 4,
+	Line: 64,
+}
+
 // DirParams are the cycle costs of a full-map directory interconnect (the
-// paper's DASH-like CC-NUMA at 300 MHz; see internal/dsm).
+// paper's DASH-like CC-NUMA at 300 MHz: one processor per node, memory
+// distributed by page home, 400 MB/s node-to-network bandwidth).
 type DirParams struct {
 	L2HitCost   uint64 // L1 miss, L2 hit
 	LocalMem    uint64 // L2 miss satisfied by local (home) memory

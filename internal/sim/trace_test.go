@@ -54,39 +54,36 @@ func TestKernelEmitsLockAndBarrierEvents(t *testing.T) {
 	}
 }
 
-// attachSinkPlatform installs a fresh counting sink each Attach, the way the
-// SVM profiler does.
-type attachSinkPlatform struct {
-	NopPlatform
-	sinks []*trace.Counting
-}
-
-func (a *attachSinkPlatform) Attach(k *Kernel) {
-	a.NopPlatform.Attach(k)
-	c := trace.NewCounting(k.NumProcs())
-	a.sinks = append(a.sinks, c)
-	k.AddRunSink(c)
-}
-
+// A sink installed with SetTraceSink feeds every run until it is replaced:
+// swapping in a fresh sink between runs gives per-run totals, and the
+// replaced sink sees nothing of the next run.
 func TestRunSinksClearedBetweenRuns(t *testing.T) {
-	pl := &attachSinkPlatform{}
-	k := New(pl, Config{NumProcs: 2})
+	k := New(&NopPlatform{}, Config{NumProcs: 2})
 	body := func(p *Proc) { p.Lock(1); p.Unlock(1); p.Barrier() }
+	first, second := trace.NewCounting(2), trace.NewCounting(2)
+	k.SetTraceSink(first)
 	if _, err := k.RunErr("a", body); err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.sinks[0].Count(trace.LockGrant); got != 2 {
+	if got := first.Count(trace.LockGrant); got != 2 {
 		t.Fatalf("first run grants = %d, want 2", got)
 	}
-	// Run sinks are per-run: the second run feeds only its own sink.
+	k.SetTraceSink(second)
 	if _, err := k.RunErr("b", body); err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.sinks[0].Count(trace.LockGrant); got != 2 {
-		t.Errorf("first run's sink leaked into next run: grants now %d", got)
+	if got := first.Count(trace.LockGrant); got != 2 {
+		t.Errorf("replaced sink leaked into the next run: grants now %d", got)
 	}
-	if got := pl.sinks[1].Count(trace.LockGrant); got != 2 {
+	if got := second.Count(trace.LockGrant); got != 2 {
 		t.Errorf("second run grants = %d, want 2", got)
+	}
+	k.SetTraceSink(nil)
+	if _, err := k.RunErr("c", body); err != nil {
+		t.Fatal(err)
+	}
+	if k.Tracing() || second.Count(trace.LockGrant) != 2 {
+		t.Errorf("removed sink still fed: tracing=%v grants=%d", k.Tracing(), second.Count(trace.LockGrant))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // CacheConfig is the paper's SVM node cache hierarchy.
@@ -34,13 +33,6 @@ type Platform struct {
 
 	eng    *protocol.PageEngine
 	caches []*cache.Hierarchy
-
-	// profOn enables the hot-page/hot-lock profile (the paper's wished-for
-	// SVM performance tool; see profile.go). When set, Attach installs a
-	// per-run trace.Counting sink into the kernel and HotPages/HotLocks
-	// render from it.
-	profOn   bool
-	counting *trace.Counting
 }
 
 // New creates an SVM platform over the given address space for np nodes.
@@ -112,10 +104,6 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		for i := range s.caches {
 			s.caches[i] = cache.New(CacheConfig)
 		}
-	}
-	if s.profOn {
-		s.counting = trace.NewCounting(s.np)
-		k.AddRunSink(s.counting)
 	}
 }
 

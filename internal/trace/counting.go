@@ -1,23 +1,26 @@
 package trace
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 )
 
 // Counting aggregates the event stream into per-kind, per-page and per-lock
-// totals. It is the trace-backed successor of the svm package's original
-// hot-page profiler: the svm platform installs one per run when profiling is
-// enabled and renders HotPages/HotLocks from it, and any caller can install
-// their own to get the same totals for any platform.
+// totals. It is the paper's §6 wished-for performance-debugging tool ("the
+// detailed simulator served as an excellent though slow performance
+// debugging tool"): Report renders the hot pages and hot locks of a run on
+// any platform, from the same event stream that feeds -trace.
 type Counting struct {
 	np        int
 	kindCount [NumKinds]uint64
 	kindCost  [NumKinds]uint64
 
 	pageFetch   map[uint64][]uint64 // page -> per-proc fetch counts
+	pageHome    map[uint64]int32    // page -> home domain that served it
 	pageDiff    map[uint64]uint64   // page -> diffs created against its home copy
-	pageWriters map[uint64]uint64   // page -> bitmask of writer procs
+	pageWriters map[uint64][]uint64 // page -> bitset of writer procs, np bits
 	lockAcq     map[uint64]uint64   // lock -> grants
 	lockXfer    map[uint64]uint64   // lock -> grants from a different holder
 }
@@ -27,8 +30,9 @@ func NewCounting(np int) *Counting {
 	return &Counting{
 		np:          np,
 		pageFetch:   map[uint64][]uint64{},
+		pageHome:    map[uint64]int32{},
 		pageDiff:    map[uint64]uint64{},
-		pageWriters: map[uint64]uint64{},
+		pageWriters: map[uint64][]uint64{},
 		lockAcq:     map[uint64]uint64{},
 		lockXfer:    map[uint64]uint64{},
 	}
@@ -51,11 +55,20 @@ func (c *Counting) Emit(e Event) {
 		if int(e.Proc) >= 0 && int(e.Proc) < len(v) {
 			v[e.Proc]++
 		}
+	case NICOccupy:
+		// The page engine stamps every fetch (and every diff applied) with
+		// the occupancy of the home's NIC: Proc is the home domain.
+		c.pageHome[e.Arg] = e.Proc
 	case DiffCreate:
 		c.pageDiff[e.Arg]++
 	case WriteTrap:
-		if e.Proc >= 0 && e.Proc < 64 {
-			c.pageWriters[e.Arg] |= 1 << uint(e.Proc)
+		if int(e.Proc) >= 0 && int(e.Proc) < c.np {
+			w := c.pageWriters[e.Arg]
+			if w == nil {
+				w = make([]uint64, (c.np+63)/64)
+				c.pageWriters[e.Arg] = w
+			}
+			w[e.Proc/64] |= 1 << uint(e.Proc%64)
 		}
 	case LockGrant:
 		c.lockAcq[e.Arg]++
@@ -83,6 +96,7 @@ func (c *Counting) Cost(k Kind) uint64 {
 // PageTotals summarizes the traffic to one page over a run.
 type PageTotals struct {
 	Page    uint64
+	Home    int    // home domain that served its fetches
 	Fetches uint64 // remote fetches of this page, all processors
 	Diffs   uint64 // diffs created against its home copy
 	Writers int    // distinct processors that dirtied it
@@ -101,7 +115,10 @@ type LockTotals struct {
 func (c *Counting) PageTotals() []PageTotals {
 	out := make([]PageTotals, 0, len(c.pageFetch))
 	for pg, per := range c.pageFetch {
-		pt := PageTotals{Page: pg, Diffs: c.pageDiff[pg], Writers: bits.OnesCount64(c.pageWriters[pg])}
+		pt := PageTotals{Page: pg, Home: int(c.pageHome[pg]), Diffs: c.pageDiff[pg]}
+		for _, w := range c.pageWriters[pg] {
+			pt.Writers += bits.OnesCount64(w)
+		}
 		for _, n := range per {
 			pt.Fetches += n
 			if n > pt.MaxProc {
@@ -133,6 +150,28 @@ func (c *Counting) LockTotals() []LockTotals {
 		return out[i].Lock < out[j].Lock
 	})
 	return out
+}
+
+// Report renders the n most-fetched pages and the n most-acquired locks as
+// text tables, busiest first (every one of them when n <= 0). This is the
+// svmsim -hot output.
+func (c *Counting) Report(n int) string {
+	pages, locks := c.PageTotals(), c.LockTotals()
+	if n > 0 {
+		pages, locks = pages[:min(n, len(pages))], locks[:min(n, len(locks))]
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "hot pages (top %d):\n", n)
+	fmt.Fprintf(&b, "%10s %5s %8s %8s %8s %8s\n", "page", "home", "fetches", "diffs", "writers", "maxproc")
+	for _, p := range pages {
+		fmt.Fprintf(&b, "%10d %5d %8d %8d %8d %8d\n", p.Page, p.Home, p.Fetches, p.Diffs, p.Writers, p.MaxProc)
+	}
+	fmt.Fprintf(&b, "hot locks (top %d):\n", n)
+	fmt.Fprintf(&b, "%10s %10s %10s\n", "lock", "acquires", "transfers")
+	for _, l := range locks {
+		fmt.Fprintf(&b, "%10d %10d %10d\n", l.Lock, l.Acquires, l.Transfers)
+	}
+	return b.String()
 }
 
 var _ Sink = (*Counting)(nil)

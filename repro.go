@@ -21,6 +21,7 @@ import (
 	_ "repro/internal/apps" // register all seven applications
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
@@ -77,5 +78,5 @@ func Versions(app string) ([]core.Version, error) {
 	return a.Versions(), nil
 }
 
-// Platforms lists the machine models.
-func Platforms() []string { return []string{"svm", "smp", "dsm"} }
+// Platforms lists the paper's three machine models, in paper order.
+func Platforms() []string { return platform.PaperNames() }

@@ -70,7 +70,7 @@ func TestClaimsIrregularBestBeatsOriginalEverywhere(t *testing.T) {
 	}
 	for app, vs := range irregularClaimApps {
 		best, want := vs[3], minGain[app]
-		for _, pl := range platform.AllPresets {
+		for _, pl := range platform.PresetNames() {
 			orig := sp(t, app, vs[0], pl)
 			bestSp := sp(t, app, best, pl)
 			beats := bestSp >= want*orig
