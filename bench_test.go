@@ -127,18 +127,20 @@ func BenchmarkFig16(b *testing.B) {
 // pool against one worker per host core. The speedup between the two
 // sub-benchmarks is the engine's win on this host.
 func BenchmarkParallelMatrix(b *testing.B) {
-	var cells []harness.Cell
-	for _, app := range Apps() {
-		vs, _ := Versions(app)
-		for _, plat := range Platforms() {
-			cells = append(cells, harness.Cell{App: app, Version: vs[0].Name, Platform: plat, Speedup: true})
+	render := func(r *harness.Runner) (string, error) {
+		for _, app := range Apps() {
+			vs, _ := Versions(app)
+			for _, plat := range Platforms() {
+				r.Speedup(app, vs[0].Name, plat)
+			}
 		}
+		return "", nil
 	}
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := harness.NewRunner(8, benchScale/2)
-				r.RunParallel(w, cells)
+				r.Render(w, render)
 				if fails := r.FailedCells(); len(fails) > 0 {
 					b.Fatalf("cells failed: %v", fails)
 				}

@@ -248,17 +248,17 @@ func runMicro() map[string]Micro {
 // work `figures -all` does, minus stdout.
 func runFiguresAll() (float64, error) {
 	r := harness.NewRunner(16, 1)
-	var cells []harness.Cell
-	figs := harness.Figures()
-	for _, f := range figs {
-		cells = append(cells, f.Cells()...)
-	}
 	start := time.Now()
-	r.RunParallel(runtime.GOMAXPROCS(0), cells)
-	for _, f := range figs {
-		if _, err := f.Run(r); err != nil {
-			return 0, fmt.Errorf("figure %s: %w", f.ID, err)
+	_, err := r.Render(runtime.GOMAXPROCS(0), func(r *harness.Runner) (string, error) {
+		for _, f := range harness.Figures() {
+			if _, err := f.Run(r); err != nil {
+				return "", fmt.Errorf("figure %s: %w", f.ID, err)
+			}
 		}
+		return "", nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	secs := time.Since(start).Seconds()
 	if fails := r.FailedCells(); len(fails) > 0 {

@@ -3,13 +3,13 @@
 // time breakdowns on SVM), Figure 16 (optimization classes across all three
 // platforms) and Figure 17 (Volrend stealing on SVM vs. DSM).
 //
-// The experiment matrix is pre-executed by a bounded worker pool (one
-// deterministic single-goroutine simulation per worker at a time) and then
-// rendered serially from the memo cache, so the output is byte-identical to
-// a fully serial run regardless of -workers. A cell whose simulation fails
-// (panic, deadlock, verification) renders as an error row; the rest of the
-// figure still completes, failures are listed on stderr, and the exit code
-// is 1.
+// The cells the selected figures read are pre-executed by a bounded worker
+// pool (one deterministic single-goroutine simulation per worker at a time)
+// and then rendered serially from the memo cache, so the output is
+// byte-identical to a fully serial run regardless of -workers. A cell
+// whose simulation fails (panic, deadlock, verification) renders as an
+// error row; the rest of the figure still completes, failures are listed
+// on stderr, and the exit code is 1.
 //
 // Usage:
 //
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
@@ -52,48 +53,34 @@ func main() {
 	r := harness.NewRunnerWith(*np, *scale, memo)
 	r.Check = *check
 
-	var figs []harness.Figure
-	var cells []harness.Cell
+	// One render function for the whole selection, so Render pre-executes
+	// every figure's cells in a single pool before rendering serially from
+	// the memo: the bytes do not depend on -workers.
+	var render func(*harness.Runner) (string, error)
 	switch {
 	case *headline:
-		cells = harness.HeadlineCells()
+		render = func(r *harness.Runner) (string, error) {
+			out, err := harness.HeadlineSpeedups(r)
+			return out + "\n", err
+		}
 	case *all:
-		figs = harness.Figures()
+		render = renderFigures(harness.Figures())
 	case *fig != "":
 		f, err := harness.FindFigure(*fig)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(1)
 		}
-		figs = []harness.Figure{f}
+		render = renderFigures([]harness.Figure{f})
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-	for _, f := range figs {
-		cells = append(cells, f.Cells()...)
-	}
-
-	// Warm the memo cache in parallel; rendering below is serial cache
-	// reads, so its bytes do not depend on -workers.
-	r.RunParallel(*workers, cells)
-
-	if *headline {
-		out, err := harness.HeadlineSpeedups(r)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
-	}
-	for _, f := range figs {
-		fmt.Printf("== %s: %s ==\n", f.ID, f.Title)
-		out, err := f.Run(r)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+	out, err := r.Render(*workers, render)
+	fmt.Print(out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
 	}
 
 	// Cache accounting goes to stderr so stdout stays byte-identical
@@ -106,5 +93,23 @@ func main() {
 			fmt.Fprintln(os.Stderr, "  "+f)
 		}
 		os.Exit(1)
+	}
+}
+
+// renderFigures renders figs in order, each under its "== ID: Title =="
+// header. A figure's infrastructure error ends the render with the output
+// so far.
+func renderFigures(figs []harness.Figure) func(*harness.Runner) (string, error) {
+	return func(r *harness.Runner) (string, error) {
+		var b strings.Builder
+		for _, f := range figs {
+			fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
+			out, err := f.Run(r)
+			if err != nil {
+				return b.String(), err
+			}
+			fmt.Fprintln(&b, out)
+		}
+		return b.String(), nil
 	}
 }

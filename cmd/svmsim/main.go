@@ -14,6 +14,8 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 
 	_ "repro/internal/apps"
@@ -21,36 +23,48 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/platform"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
-func main() {
-	app := flag.String("app", "lu", "application name")
-	version := flag.String("version", "orig", "application version")
-	plat := flag.String("platform", "svm", fmt.Sprintf("platform, one of %v", platform.PresetNames()))
-	np := flag.Int("p", 16, "number of simulated processors")
-	scale := flag.Float64("scale", 1.0, "problem size scale factor")
-	speedup := flag.Bool("speedup", false, "also compute speedup vs uniprocessor original")
-	freecs := flag.Bool("freecs", false, "paper diagnostic: page faults inside critical sections are free")
-	hot := flag.Bool("hot", false, "print the hot-page / hot-lock profile (paper §6's performance tool)")
-	list := flag.Bool("list", false, "list applications and versions")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
-	traceBuf := flag.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
-	sample := flag.Uint64("sample", 0, "sample the breakdown every N cycles into the trace (default 100000 with -trace)")
-	jsonOut := flag.Bool("json", false, "print the result as machine-readable JSON instead of tables")
-	check := flag.Bool("check", false, "enable runtime invariant checking (scheduler, protocol state, accounting)")
-	storeDir := flag.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (ignored with -trace/-sample/-hot)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams as parameters,
+// returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "lu", "application name")
+	version := fs.String("version", "orig", "application version")
+	plat := fs.String("platform", "svm", fmt.Sprintf("platform, one of %v", platform.PresetNames()))
+	np := fs.Int("p", 16, "number of simulated processors")
+	scale := fs.Float64("scale", 1.0, "problem size scale factor")
+	speedup := fs.Bool("speedup", false, "also compute speedup vs uniprocessor original")
+	freecs := fs.Bool("freecs", false, "paper diagnostic: page faults inside critical sections are free")
+	hot := fs.Bool("hot", false, "print the hot-page / hot-lock profile (paper §6's performance tool)")
+	list := fs.Bool("list", false, "list applications and versions")
+	traceOut := fs.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
+	traceBuf := fs.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
+	sample := fs.Uint64("sample", 0, "sample the breakdown every N cycles into the trace (default 100000 with -trace)")
+	jsonOut := fs.Bool("json", false, "print the result as machine-readable JSON instead of tables")
+	check := fs.Bool("check", false, "enable runtime invariant checking (scheduler, protocol state, accounting)")
+	storeDir := fs.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (ignored with -trace/-sample/-hot)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, name := range core.Apps() {
 			a, _ := core.Lookup(name)
-			fmt.Printf("%s:\n", name)
+			fmt.Fprintf(stdout, "%s:\n", name)
 			for _, v := range a.Versions() {
-				fmt.Printf("  %-10s %-5s %s\n", v.Name, v.Class, v.Desc)
+				fmt.Fprintf(stdout, "  %-10s %-5s %s\n", v.Name, v.Class, v.Desc)
 			}
 		}
-		return
+		return 0
 	}
 
 	spec := harness.Spec{
@@ -62,8 +76,8 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "svmsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "svmsim:", err)
+			return 1
 		}
 		defer f.Close()
 		chrome = trace.NewChrome(f)
@@ -89,64 +103,65 @@ func main() {
 	// without simulating.
 	memo, merr := campaign.OpenMemo(*storeDir)
 	if merr != nil {
-		fmt.Fprintln(os.Stderr, "svmsim:", merr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "svmsim:", merr)
+		return 1
 	}
-	run, err := memo.Run(spec)
-	if chrome != nil {
-		if cerr := chrome.Close(); cerr != nil && err == nil {
-			fmt.Fprintln(os.Stderr, "svmsim: writing trace:", cerr)
+	if *jsonOut {
+		// The canonical single-cell document, the exact bytes GET /run
+		// serves; a failed cell (or baseline) is its structured error
+		// document.
+		body, _, code := server.CellBody(memo, spec, *speedup)
+		closeTrace(chrome, stderr)
+		stdout.Write(body)
+		if code != http.StatusOK {
+			fmt.Fprintf(stderr, "svmsim: %s/%s on %s failed (HTTP %d)\n", *app, *version, *plat, code)
+			return 1
 		}
+		return 0
 	}
+
+	res, err := memo.Run(spec)
+	closeTrace(chrome, stderr)
 	if err != nil {
-		if *jsonOut {
-			// Failed cells still produce parseable output: a structured
-			// error object on stdout, alongside the stderr message.
-			if out, jerr := harness.RunErrorJSON(spec, err); jerr == nil {
-				fmt.Printf("%s\n", out)
-			}
-		}
-		fmt.Fprintln(os.Stderr, "svmsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "svmsim:", err)
+		return 1
 	}
 
 	var spFactor float64
+	base := spec.Baseline()
 	if *speedup {
-		a, _ := core.Lookup(*app)
-		base, err := memo.Run(harness.Spec{
-			App: *app, Version: a.Versions()[0].Name, Platform: *plat,
-			NumProcs: 1, Scale: *scale,
-		})
+		baseRun, err := memo.Run(base)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "svmsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "svmsim:", err)
+			return 1
 		}
-		spFactor = float64(base.EndTime) / float64(run.EndTime)
+		spFactor = float64(baseRun.EndTime) / float64(res.EndTime)
 	}
 
-	if *jsonOut {
-		out, err := harness.RunJSON(spec, run, spFactor)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "svmsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s\n", out)
-		return
-	}
-
-	fmt.Print(run.BreakdownTable())
+	fmt.Fprint(stdout, res.BreakdownTable())
 	if hotPages != nil {
-		fmt.Print(hotPages.Report(10))
+		fmt.Fprint(stdout, hotPages.Report(10))
 	}
-	c := run.AggregateCounters()
-	fmt.Printf("counters: reads=%d writes=%d faults=%d fetches=%d twins=%d diffs=%d inval=%d locks=%d remote=%d bus=%d tasks=%d stolen=%d\n",
+	c := res.AggregateCounters()
+	fmt.Fprintf(stdout, "counters: reads=%d writes=%d faults=%d fetches=%d twins=%d diffs=%d inval=%d locks=%d remote=%d bus=%d tasks=%d stolen=%d\n",
 		c.Reads, c.Writes, c.PageFaults, c.PageFetches, c.TwinsMade, c.DiffsCreated,
 		c.Invalidations, c.LockAcquires, c.RemoteMisses, c.BusTransactions, c.TasksRun, c.TasksStolen)
 	if *traceOut != "" {
-		fmt.Printf("trace written to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+		fmt.Fprintf(stdout, "trace written to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}
 
 	if *speedup {
-		fmt.Printf("speedup vs uniprocessor %s/orig: %.2f\n", *app, spFactor)
+		fmt.Fprintf(stdout, "speedup vs uniprocessor %s/%s: %.2f\n", base.App, base.Version, spFactor)
+	}
+	return 0
+}
+
+// closeTrace flushes the Perfetto trace, if one is being written.
+func closeTrace(chrome *trace.Chrome, stderr io.Writer) {
+	if chrome == nil {
+		return
+	}
+	if err := chrome.Close(); err != nil {
+		fmt.Fprintln(stderr, "svmsim: writing trace:", err)
 	}
 }

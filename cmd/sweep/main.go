@@ -3,12 +3,12 @@
 // systems, we plan to investigate the issues with larger numbers of
 // processors"), answerable here by simulation.
 //
-// Sweep is a thin rendering over internal/campaign: the cell matrix
-// (processor counts × platforms, plus each platform's uniprocessor baseline
-// of the original version) comes from campaign.SweepCells, and execution is
-// the same journalless local runner a one-app campaign uses. For anything
-// bigger — many apps, predicates, resumability, a serve fleet — use
-// cmd/campaign.
+// Sweep is a flag front end over internal/campaign: the cell matrix
+// (processor counts × platforms, plus each platform's uniprocessor
+// baseline) runs on the same journalless local runner a one-app campaign
+// uses, and the table is campaign.ScalingTable, the block `campaign
+// -table` prints, with rows in -procs order. For anything bigger — many
+// apps, predicates, resumability, a serve fleet — use cmd/campaign.
 //
 // A failing cell prints as "error" while the rest of the sweep completes;
 // failures are listed on stderr and the exit code is 1.
@@ -25,6 +25,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
@@ -32,11 +34,49 @@ import (
 	"repro/internal/platform"
 )
 
-// parseProcs keeps the historical name alive in this package for the fuzz
-// target; the grammar itself lives in internal/campaign, shared with
-// cmd/campaign's spec axis.
+// parseProcs parses a -procs flag value: comma-separated positive integers
+// with no duplicates. A dup would either waste a run or (worse) silently
+// render the same row twice.
 func parseProcs(s string) ([]int, error) {
-	return campaign.ParseProcs(s)
+	var counts []int
+	seen := map[int]bool{}
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad processor count %q (want a positive integer)", strings.TrimSpace(f))
+		}
+		if seen[n] {
+			return nil, fmt.Errorf("duplicate processor count %d in -procs %q", n, s)
+		}
+		seen[n] = true
+		counts = append(counts, n)
+	}
+	return counts, nil
+}
+
+// sweepCells enumerates the matrix for one app/version: every (processor
+// count × platform) cell plus each platform's uniprocessor baseline,
+// deduplicated (a 1-processor sweep of the original version IS its own
+// baseline).
+func sweepCells(app, version string, plats []string, procs []int, scale float64) []campaign.Cell {
+	seen := map[string]bool{}
+	var cells []campaign.Cell
+	add := func(spec harness.Spec) {
+		key := spec.MemoKey()
+		if !seen[key] {
+			seen[key] = true
+			cells = append(cells, campaign.Cell{Spec: spec, Key: key})
+		}
+	}
+	for _, pl := range plats {
+		cell := harness.Spec{App: app, Version: version, Platform: pl, Scale: scale}
+		add(cell.Baseline())
+		for _, np := range procs {
+			cell.NumProcs = np
+			add(cell)
+		}
+	}
+	return cells
 }
 
 // parsePlatform resolves the -platform flag: empty means the paper's
@@ -78,7 +118,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cells := campaign.SweepCells(*app, *version, plats, counts, *scale)
+	cells := sweepCells(*app, *version, plats, counts, *scale)
 	runner := &campaign.Runner{
 		Name:  "sweep",
 		Cells: cells,
@@ -88,34 +128,7 @@ func main() {
 
 	// Render the table serially from the settled entries, so it is
 	// byte-identical to a serial run regardless of -workers.
-	orig := campaign.OrigVersion(*app)
-	end := func(v string, np int, pl string) (uint64, bool) {
-		spec := harness.Spec{App: *app, Version: v, Platform: pl, NumProcs: np, Scale: *scale}
-		e, ok := rep.Entries[spec.MemoKey()]
-		if !ok || e.Status != "done" || e.End == 0 {
-			return 0, false
-		}
-		return e.End, true
-	}
-	fmt.Printf("%s/%s speedup vs uniprocessor original (scale %.2g)\n", *app, *version, *scale)
-	fmt.Printf("%6s", "P")
-	for _, pl := range plats {
-		fmt.Printf(" %8s", pl)
-	}
-	fmt.Println()
-	for _, np := range counts {
-		fmt.Printf("%6d", np)
-		for _, pl := range plats {
-			base, okB := end(orig, 1, pl)
-			run, okR := end(*version, np, pl)
-			if !okB || !okR {
-				fmt.Printf(" %8s", "error")
-				continue
-			}
-			fmt.Printf(" %8.2f", float64(base)/float64(run))
-		}
-		fmt.Println()
-	}
+	campaign.ScalingTable(os.Stdout, rep.Entries, harness.Spec{App: *app, Version: *version, Scale: *scale}, plats, counts)
 
 	fmt.Fprintf(os.Stderr, "sweep: cache: %s\n", memo.Stats())
 

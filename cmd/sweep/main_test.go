@@ -15,6 +15,7 @@ func TestParseProcs(t *testing.T) {
 		{"1,2,4,8,16", []int{1, 2, 4, 8, 16}},
 		{"16", []int{16}},
 		{" 8 ,\t4 ", []int{8, 4}}, // whitespace tolerated, order preserved
+		{"1, 2,4", []int{1, 2, 4}},
 	}
 	for _, c := range good {
 		got, err := parseProcs(c.in)
@@ -22,7 +23,7 @@ func TestParseProcs(t *testing.T) {
 			t.Errorf("parseProcs(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	bad := []string{"", "0", "-1", "two", "1,,2", "1,2,1", "4,0x8", "1e3"}
+	bad := []string{"", "0", "-1", "-2", "x", "two", "1,,2", "1,1", "1,2,1", "4,0x8", "1e3"}
 	for _, in := range bad {
 		if got, err := parseProcs(in); err == nil {
 			t.Errorf("parseProcs(%q) = %v; want error", in, got)
@@ -75,5 +76,37 @@ func TestParsePlatform(t *testing.T) {
 	}
 	if got, err := parsePlatform("vax"); err == nil || !strings.Contains(err.Error(), "svmsmp") {
 		t.Errorf(`parsePlatform("vax") = %v, %v; want an error listing the presets`, got, err)
+	}
+}
+
+func TestSweepCells(t *testing.T) {
+	cells := sweepCells("lu", "4da", []string{"svm", "smp"}, []int{1, 4}, 1)
+	// Per platform: baseline orig@1 + 4da@{1,4} = 3 cells, no dedup overlap.
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(cells))
+	}
+	// Sweeping the original version itself dedups the baseline against the
+	// matrix's P=1 column.
+	cells = sweepCells("lu", "orig", []string{"svm"}, []int{1, 4}, 1)
+	if len(cells) != 2 {
+		t.Fatalf("orig sweep: got %d cells, want 2 (baseline == P=1 cell)", len(cells))
+	}
+	seen := map[string]bool{}
+	for _, c := range cells {
+		if seen[c.Key] {
+			t.Errorf("duplicate cell %s", c.Key)
+		}
+		seen[c.Key] = true
+	}
+	// Barnes baselines must use its original version name.
+	cells = sweepCells("barnes", "spatial", []string{"svm"}, []int{4}, 1)
+	found := false
+	for _, c := range cells {
+		if c.Spec.Version == "splash" && c.Spec.NumProcs == 1 {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("barnes sweep lacks the splash uniprocessor baseline")
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -290,40 +289,6 @@ func Digest(cells []Cell) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// OrigVersion returns the application's original version name (the
-// paper's speedup denominator source: "orig" for most apps, "splash" for
-// barnes). Unknown apps fall back to "orig", which then fails at
-// execution with the registry's error, exactly as a hand-written spec
-// would.
-func OrigVersion(app string) string {
-	a, err := core.Lookup(app)
-	if err != nil {
-		return "orig"
-	}
-	return a.Versions()[0].Name
-}
-
-// ParseProcs parses a -procs flag value: comma-separated positive
-// integers with no duplicates. A dup would either waste a run or (worse)
-// silently render the same column twice. Shared by cmd/sweep and
-// cmd/campaign so the flag grammar cannot drift between them.
-func ParseProcs(s string) ([]int, error) {
-	var counts []int
-	seen := map[int]bool{}
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad processor count %q (want a positive integer)", strings.TrimSpace(f))
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("duplicate processor count %d in -procs %q", n, s)
-		}
-		seen[n] = true
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
 // OpenMemo builds the experiment cache every command executes through: an
 // in-memory memo over the persistent store at dir, or memo-only when dir
 // is empty. Shared by figures, sweep, svmsim, and campaign so the
@@ -337,29 +302,4 @@ func OpenMemo(dir string) (*harness.Memo, error) {
 		return nil, err
 	}
 	return harness.NewMemo(st), nil
-}
-
-// SweepCells enumerates cmd/sweep's matrix for one app/version: every
-// (processor count × platform) cell plus each platform's uniprocessor
-// baseline of the original version, deduplicated (a 1-processor sweep of
-// the original version IS its own baseline). This is the same enumeration
-// a one-app campaign spec expands to; sweep is a thin rendering over it.
-func SweepCells(app, version string, plats []string, procs []int, scale float64) []Cell {
-	orig := OrigVersion(app)
-	seen := map[string]bool{}
-	var cells []Cell
-	add := func(spec harness.Spec) {
-		key := spec.MemoKey()
-		if !seen[key] {
-			seen[key] = true
-			cells = append(cells, Cell{Spec: spec, Key: key})
-		}
-	}
-	for _, pl := range plats {
-		add(harness.Spec{App: app, Version: orig, Platform: pl, NumProcs: 1, Scale: scale})
-		for _, np := range procs {
-			add(harness.Spec{App: app, Version: version, Platform: pl, NumProcs: np, Scale: scale})
-		}
-	}
-	return cells
 }

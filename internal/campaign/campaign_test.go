@@ -220,50 +220,6 @@ func TestClassPredicate(t *testing.T) {
 	}
 }
 
-func TestOrigVersion(t *testing.T) {
-	if v := OrigVersion("lu"); v != "orig" {
-		t.Errorf("OrigVersion(lu) = %q", v)
-	}
-	if v := OrigVersion("barnes"); v != "splash" {
-		t.Errorf("OrigVersion(barnes) = %q, want splash", v)
-	}
-	if v := OrigVersion("nope"); v != "orig" {
-		t.Errorf("OrigVersion(nope) = %q, want orig fallback", v)
-	}
-}
-
-func TestSweepCells(t *testing.T) {
-	cells := SweepCells("lu", "4da", []string{"svm", "smp"}, []int{1, 4}, 1)
-	// Per platform: baseline orig@1 + 4da@{1,4} = 3 cells, no dedup overlap.
-	if len(cells) != 6 {
-		t.Fatalf("got %d cells, want 6", len(cells))
-	}
-	// Sweeping the original version itself dedups the baseline against the
-	// matrix's P=1 column.
-	cells = SweepCells("lu", "orig", []string{"svm"}, []int{1, 4}, 1)
-	if len(cells) != 2 {
-		t.Fatalf("orig sweep: got %d cells, want 2 (baseline == P=1 cell)", len(cells))
-	}
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if seen[c.Key] {
-			t.Errorf("duplicate cell %s", c.Key)
-		}
-		seen[c.Key] = true
-	}
-	// Barnes baselines must use its original version name.
-	cells = SweepCells("barnes", "spatial", []string{"svm"}, []int{4}, 1)
-	found := false
-	for _, c := range cells {
-		if c.Spec.Version == "splash" && c.Spec.NumProcs == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("barnes sweep lacks the splash uniprocessor baseline")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	s := tinySpec()
 	cells, err := s.Expand()
@@ -288,22 +244,19 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(table, "error") {
 		t.Errorf("failed cell not rendered as error:\n%s", table)
 	}
-	// A missing baseline blanks the column rather than dividing by zero.
+	// A failed baseline renders its column as "error", not as pending.
 	baseKey := harness.Spec{App: "lu", Version: "orig", Platform: "svm", NumProcs: 1, Scale: 0.25}.MemoKey()
+	entries[baseKey] = Entry{Key: baseKey, Status: "failed", Kind: "panic"}
+	table = s.Table(entries)
+	if strings.Contains(table, "-") {
+		t.Errorf("failed baseline rendered as -:\n%s", table)
+	}
+	if n := strings.Count(table, "error"); n < 2 {
+		t.Errorf("failed baseline column not rendered as error (%d error cells):\n%s", n, table)
+	}
+	// A missing baseline blanks the column rather than dividing by zero.
 	delete(entries, baseKey)
 	if table := s.Table(entries); !strings.Contains(table, "-") {
 		t.Errorf("missing baseline not rendered as -:\n%s", table)
-	}
-}
-
-func TestParseProcs(t *testing.T) {
-	got, err := ParseProcs("1, 2,4")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 4}) {
-		t.Fatalf("ParseProcs = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "x", "1,1", "-2"} {
-		if _, err := ParseProcs(bad); err == nil {
-			t.Errorf("ParseProcs(%q) accepted", bad)
-		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/harness"
 	"repro/internal/server"
 )
 
@@ -131,30 +131,10 @@ func (f *Fleet) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
 		}
 	}
 
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan batchJob)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobCh {
-				f.runJob(ctx, client, job, maxAttempts, backoff, emit)
-			}
-		}()
-	}
-feed:
-	for _, job := range jobs {
-		select {
-		case jobCh <- job:
-		case <-ctx.Done():
-			break feed // unqueued batches stay pending for the resume
-		}
-	}
-	close(jobCh)
-	wg.Wait()
+	// Once ctx is done, unqueued batches stay pending for the resume.
+	harness.ForEach(ctx, workers, len(jobs), func(i int) {
+		f.runJob(ctx, client, jobs[i], maxAttempts, backoff, emit)
+	})
 }
 
 // runJob drives one batch to completion: POST, settle what settled,

@@ -7,9 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -51,38 +51,12 @@ type Local struct {
 // bytes a serve fleet would return for it (server.CellBody), so local and
 // fleet campaigns fingerprint identically.
 func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 0 {
-		return
-	}
-	work := make(chan Cell)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				body, _, code := server.CellBody(l.Memo, c.Spec, false)
-				emit(Outcome{Cell: c, Code: code, Body: body, Attempts: 1})
-			}
-		}()
-	}
-feed:
-	for _, c := range cells {
-		select {
-		case work <- c:
-		case <-ctx.Done():
-			break feed // in-flight cells finish and are journaled; the rest stay pending
-		}
-	}
-	close(work)
-	wg.Wait()
+	// Once ctx is done, in-flight cells finish and are journaled; the
+	// rest stay pending.
+	harness.ForEach(ctx, l.Workers, len(cells), func(i int) {
+		body, _, code := server.CellBody(l.Memo, cells[i].Spec, false)
+		emit(Outcome{Cell: cells[i], Code: code, Body: body, Attempts: 1})
+	})
 }
 
 // fingerprint names a cell's document bytes: first 8 bytes of SHA-256,
@@ -314,53 +288,54 @@ func (rep *Report) Manifest() string {
 	return b.String()
 }
 
-// Table renders the campaign's scaling tables from settled entries: for
-// each (app, version, scale) of the spec, speedup over the platform's
-// uniprocessor original version (the paper's convention) per processor
-// count and platform. Failed cells render as "error", cells outside the
-// manifest or still pending as "-"; when a platform's baseline is
-// missing, its whole column is "-".
+// Table renders the campaign's scaling tables from settled entries: one
+// ScalingTable block per (app, version, scale) of the spec, processor
+// counts ascending, blocks separated by a blank line.
 func (s *Spec) Table(entries map[string]Entry) string {
 	procs := append([]int(nil), s.Procs...)
 	sort.Ints(procs)
-	end := func(spec harness.Spec) (uint64, bool) {
-		e, ok := entries[spec.MemoKey()]
-		if !ok || e.Status != "done" || e.End == 0 {
-			return 0, false
-		}
-		return e.End, true
-	}
 	var b strings.Builder
 	for _, am := range s.Apps {
-		orig := OrigVersion(am.App)
 		for _, v := range am.Versions {
 			for _, sc := range s.Scales {
-				fmt.Fprintf(&b, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", am.App, v, sc)
-				fmt.Fprintf(&b, "%6s", "P")
-				for _, pl := range s.Platforms {
-					fmt.Fprintf(&b, " %8s", pl)
-				}
-				fmt.Fprintln(&b)
-				for _, np := range procs {
-					fmt.Fprintf(&b, "%6d", np)
-					for _, pl := range s.Platforms {
-						base, okB := end(harness.Spec{App: am.App, Version: orig, Platform: pl, NumProcs: 1, Scale: sc, Check: s.Check})
-						spec := harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc, Check: s.Check}
-						e, okE := entries[spec.MemoKey()]
-						switch {
-						case okE && e.Status == "failed":
-							fmt.Fprintf(&b, " %8s", "error")
-						case !okB || !okE || e.End == 0:
-							fmt.Fprintf(&b, " %8s", "-")
-						default:
-							fmt.Fprintf(&b, " %8.2f", float64(base)/float64(e.End))
-						}
-					}
+				if b.Len() > 0 {
 					fmt.Fprintln(&b)
 				}
-				fmt.Fprintln(&b)
+				cell := harness.Spec{App: am.App, Version: v, Scale: sc, Check: s.Check}
+				ScalingTable(&b, entries, cell, s.Platforms, procs)
 			}
 		}
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	return b.String()
+}
+
+// ScalingTable writes one scaling block: for cell's app, version, scale
+// and checking mode, the speedup over the platform's uniprocessor original
+// (Spec.Baseline, the paper's convention) per processor count (rows, in
+// the given order) and platform (columns). A cell renders as "error" when
+// it or its baseline failed, and as "-" when either has no settled result.
+func ScalingTable(w io.Writer, entries map[string]Entry, cell harness.Spec, plats []string, procs []int) {
+	fmt.Fprintf(w, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", cell.App, cell.Version, cell.Scale)
+	fmt.Fprintf(w, "%6s", "P")
+	for _, pl := range plats {
+		fmt.Fprintf(w, " %8s", pl)
+	}
+	fmt.Fprintln(w)
+	for _, np := range procs {
+		fmt.Fprintf(w, "%6d", np)
+		for _, pl := range plats {
+			cell.Platform, cell.NumProcs = pl, np
+			e, okE := entries[cell.MemoKey()]
+			base, okB := entries[cell.Baseline().MemoKey()]
+			switch {
+			case e.Status == "failed" || base.Status == "failed":
+				fmt.Fprintf(w, " %8s", "error")
+			case !okE || !okB || e.End == 0 || base.End == 0:
+				fmt.Fprintf(w, " %8s", "-")
+			default:
+				fmt.Fprintf(w, " %8.2f", float64(base.End)/float64(e.End))
+			}
+		}
+		fmt.Fprintln(w)
+	}
 }

@@ -32,21 +32,22 @@ import (
 	"repro/internal/harness"
 )
 
-// FigureCells returns every distinct (app, version, platform) cell used by
-// the registered figures, in first-appearance order. Speedup flags are
-// dropped: the checker cares about the cell's own execution, and baselines
-// are exercised separately.
-func FigureCells() []harness.Cell {
-	seen := map[string]bool{}
-	var out []harness.Cell
+// FigureCells returns every distinct (app, version, platform) triple the
+// registered figures read, uniprocessor baselines included, in
+// first-request order, as specs with only those three fields set: the
+// checker cares about each cell's own execution at its chosen processor
+// count and scale.
+func FigureCells() []harness.Spec {
+	seen := map[harness.Spec]bool{}
+	var out []harness.Spec
+	r := harness.NewRunner(16, 1)
 	for _, f := range harness.Figures() {
-		for _, c := range f.Cells() {
-			key := c.App + "/" + c.Version + "@" + c.Platform
-			if seen[key] {
-				continue
+		for _, s := range r.Specs(f.Run) {
+			c := harness.Spec{App: s.App, Version: s.Version, Platform: s.Platform}
+			if !seen[c] {
+				seen[c] = true
+				out = append(out, c)
 			}
-			seen[key] = true
-			out = append(out, harness.Cell{App: c.App, Version: c.Version, Platform: c.Platform})
 		}
 	}
 	return out

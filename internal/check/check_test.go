@@ -1,7 +1,7 @@
 package check
 
 import (
-	"runtime"
+	"context"
 	"testing"
 
 	_ "repro/internal/apps"
@@ -33,7 +33,9 @@ func TestFigureCellsPassInvariantChecking(t *testing.T) {
 	if len(cells) < 20 {
 		t.Fatalf("only %d figure cells registered, expected the full experiment matrix", len(cells))
 	}
-	r.RunParallel(runtime.GOMAXPROCS(0), cells)
+	harness.ForEach(context.Background(), 0, len(cells), func(i int) {
+		r.Run(cells[i].App, cells[i].Version, cells[i].Platform)
+	})
 	for _, f := range r.FailedCells() {
 		t.Error(f)
 	}

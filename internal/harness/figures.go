@@ -46,14 +46,12 @@ func (r *Runner) scaleFor(app string) float64 {
 type Figure struct {
 	ID    string
 	Title string
-	// Cells enumerates the experiments the figure needs, so they can be
-	// pre-executed in parallel (Runner.RunParallel) before Run renders
-	// them serially from the memo cache.
-	Cells func() []Cell
-	// Run renders the figure. A failing cell becomes an error row in the
-	// output (with a note below the table) rather than an error return,
-	// so one bad cell cannot abort a whole figures run; the error return
-	// is reserved for infrastructure failures.
+	// Run renders the figure; Runner.Render reads its cells off it and
+	// pre-executes them in parallel before rendering from the memo. A
+	// failing cell becomes an error row in the output (with a note below
+	// the table) rather than an error return, so one bad cell cannot abort
+	// a whole figures run; the error return is reserved for
+	// infrastructure failures.
 	Run func(r *Runner) (string, error)
 }
 
@@ -92,16 +90,13 @@ var breakdowns = []breakdownSpec{
 // Figures returns every regenerable figure in paper order.
 func Figures() []Figure {
 	figs := []Figure{
-		{ID: "fig2", Title: "Speedups for the original versions across the shared address space multiprocessors", Cells: fig2Cells, Run: fig2},
+		{ID: "fig2", Title: "Speedups for the original versions across the shared address space multiprocessors", Run: fig2},
 	}
 	for _, b := range breakdowns {
 		b := b
 		figs = append(figs, Figure{
 			ID:    b.id,
 			Title: b.title,
-			Cells: func() []Cell {
-				return []Cell{{App: b.app, Version: b.version, Platform: "svm"}}
-			},
 			Run: func(r *Runner) (string, error) {
 				run, err := r.Run(b.app, b.version, "svm")
 				if err != nil {
@@ -112,8 +107,8 @@ func Figures() []Figure {
 		})
 	}
 	figs = append(figs,
-		Figure{ID: "fig16", Title: "Performance with different optimization classes across shared-address-space multiprocessors", Cells: fig16Cells, Run: fig16},
-		Figure{ID: "fig17", Title: "Speedups of Volrend with the algorithmic optimization with and without stealing on SVM and CC-NUMA DSM", Cells: fig17Cells, Run: fig17},
+		Figure{ID: "fig16", Title: "Performance with different optimization classes across shared-address-space multiprocessors", Run: fig16},
+		Figure{ID: "fig17", Title: "Speedups of Volrend with the algorithmic optimization with and without stealing on SVM and CC-NUMA DSM", Run: fig17},
 	)
 	return figs
 }
@@ -126,17 +121,6 @@ func FindFigure(id string) (Figure, error) {
 		}
 	}
 	return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
-}
-
-func fig2Cells() []Cell {
-	var cells []Cell
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		for _, pl := range platform.PaperNames() {
-			cells = append(cells, Cell{App: app, Version: a.Versions()[0].Name, Platform: pl, Speedup: true})
-		}
-	}
-	return cells
 }
 
 func fig2(r *Runner) (string, error) {
@@ -164,19 +148,6 @@ func fig2(r *Runner) (string, error) {
 	}
 	writeFails(&b, fails)
 	return b.String(), nil
-}
-
-func fig16Cells() []Cell {
-	var cells []Cell
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		for _, v := range a.Versions() {
-			for _, pl := range platform.PaperNames() {
-				cells = append(cells, Cell{App: app, Version: v.Name, Platform: pl, Speedup: true})
-			}
-		}
-	}
-	return cells
 }
 
 func fig16(r *Runner) (string, error) {
@@ -208,16 +179,6 @@ func fig16(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-func fig17Cells() []Cell {
-	var cells []Cell
-	for _, v := range []string{"balanced", "nosteal"} {
-		for _, pl := range []string{"svm", "dsm"} {
-			cells = append(cells, Cell{App: "volrend", Version: v, Platform: pl, Speedup: true})
-		}
-	}
-	return cells
-}
-
 func fig17(r *Runner) (string, error) {
 	var b strings.Builder
 	var fails []string
@@ -237,19 +198,6 @@ func fig17(r *Runner) (string, error) {
 	}
 	writeFails(&b, fails)
 	return b.String(), nil
-}
-
-// HeadlineCells enumerates the experiments HeadlineSpeedups needs, for
-// parallel pre-execution.
-func HeadlineCells() []Cell {
-	var cells []Cell
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		for _, v := range a.Versions() {
-			cells = append(cells, Cell{App: app, Version: v.Name, Platform: "svm", Speedup: true})
-		}
-	}
-	return cells
 }
 
 // HeadlineSpeedups renders the paper's §4 per-application progression on

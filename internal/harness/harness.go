@@ -100,6 +100,23 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// Baseline returns the spec of s's speedup denominator, the paper's
+// convention (§2.1.3): the application's original version on the same
+// platform, scale and checking mode, on one processor, without the
+// critical-section diagnostic. An unknown app keeps "orig", so the
+// registry error surfaces when the baseline executes. Observability hooks
+// are dropped: they observe the cell, not its denominator.
+func (s Spec) Baseline() Spec {
+	s.Version = "orig"
+	if a, err := core.Lookup(s.App); err == nil {
+		s.Version = a.Versions()[0].Name
+	}
+	s.NumProcs = 1
+	s.FreeCSFaults = false
+	s.TraceSink, s.TraceRing, s.SampleInterval = nil, 0, 0
+	return s
+}
+
 // VerifyError wraps a result-verification failure, so renderers and the
 // differential harness can classify it apart from contained simulation
 // errors (panics, deadlocks, invariant violations).
@@ -234,7 +251,13 @@ func (r *Runner) CacheStats() CacheStats { return r.memo.Stats() }
 // Run executes (and memoizes) an experiment for this runner's processor
 // count and scale.
 func (r *Runner) Run(app, version, plat string) (*stats.Run, error) {
-	return r.memo.Run(Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check})
+	return r.memo.Run(r.spec(app, version, plat))
+}
+
+// spec names one cell at this runner's processor count, scale and
+// checking mode.
+func (r *Runner) spec(app, version, plat string) Spec {
+	return Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check}
 }
 
 // Baseline returns the uniprocessor execution time of the original version
@@ -242,12 +265,7 @@ func (r *Runner) Run(app, version, plat string) (*stats.Run, error) {
 // memoized like any other spec, so a parallel figure run executes each one
 // exactly once no matter how many cells divide by it.
 func (r *Runner) Baseline(app, plat string) (uint64, error) {
-	a, err := core.Lookup(app)
-	if err != nil {
-		return 0, err
-	}
-	origName := a.Versions()[0].Name
-	run, err := r.memo.Run(Spec{App: app, Version: origName, Platform: plat, NumProcs: 1, Scale: r.scaleFor(app), Check: r.Check})
+	run, err := r.memo.Run(r.spec(app, "", plat).Baseline())
 	if err != nil {
 		return 0, err
 	}

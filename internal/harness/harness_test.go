@@ -69,6 +69,25 @@ func TestSpeedupUsesOrigBaseline(t *testing.T) {
 	}
 }
 
+// Spec.Baseline is the one speedup-denominator rule: the app's original
+// version ("orig" for an unknown app), one processor, no critical-section
+// diagnostic and no observability hooks; everything else of the cell is
+// kept.
+func TestSpecBaseline(t *testing.T) {
+	for app, want := range map[string]string{"lu": "orig", "barnes": "splash", "nope": "orig"} {
+		if v := (Spec{App: app, Version: "x"}).Baseline().Version; v != want {
+			t.Errorf("Baseline of %s has version %q, want %q", app, v, want)
+		}
+	}
+	cell := Spec{App: "barnes", Version: "spatial", Platform: "dsm", NumProcs: 8, Scale: 0.5,
+		FreeCSFaults: true, Check: true, Quantum: 7, TraceRing: 16, SampleInterval: 100}
+	want := Spec{App: "barnes", Version: "splash", Platform: "dsm", NumProcs: 1, Scale: 0.5,
+		Check: true, Quantum: 7}
+	if got := cell.Baseline(); got != want {
+		t.Errorf("Baseline = %+v, want %+v", got, want)
+	}
+}
+
 func TestFiguresRegistryComplete(t *testing.T) {
 	figs := Figures()
 	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",

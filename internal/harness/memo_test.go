@@ -233,29 +233,15 @@ func TestTraceSpecsBypassCache(t *testing.T) {
 	}
 }
 
-// warmRerunCells picks the figure matrix for the warm-rerun test: the full
-// `figures -all` cell set normally, a small figure in -short mode (the
-// race-instrumented CI leg).
-func warmRerunCells() []Cell {
-	if testing.Short() {
-		f, _ := FindFigure("fig17")
-		return f.Cells()
-	}
-	var cells []Cell
-	for _, f := range Figures() {
-		cells = append(cells, f.Cells()...)
-	}
-	return cells
-}
-
 // TestWarmFiguresRerunZeroSimulations: after a cold `figures -all -store`
 // pass, a second full pass over the same store performs zero simulations
 // and renders byte-identical figures.
 func TestWarmFiguresRerunZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
-	cells := warmRerunCells()
 
-	render := func(r *Runner) string {
+	// The full `figures -all` matrix normally, one small figure in -short
+	// mode (the race-instrumented CI leg).
+	render := func(r *Runner) (string, error) {
 		var b strings.Builder
 		for _, f := range Figures() {
 			if testing.Short() && f.ID != "fig17" {
@@ -263,11 +249,11 @@ func TestWarmFiguresRerunZeroSimulations(t *testing.T) {
 			}
 			out, err := f.Run(r)
 			if err != nil {
-				t.Fatalf("%s: %v", f.ID, err)
+				return "", fmt.Errorf("%s: %w", f.ID, err)
 			}
 			b.WriteString(out)
 		}
-		return b.String()
+		return b.String(), nil
 	}
 
 	stCold, err := store.Open(dir)
@@ -275,8 +261,10 @@ func TestWarmFiguresRerunZeroSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := NewRunnerWith(4, 0.125, NewMemo(stCold))
-	cold.RunParallel(0, cells)
-	coldOut := render(cold)
+	coldOut, err := cold.Render(0, render)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cs := cold.CacheStats(); cs.Executions == 0 {
 		t.Fatal("cold pass performed no simulations — test is vacuous")
 	}
@@ -286,8 +274,10 @@ func TestWarmFiguresRerunZeroSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := NewRunnerWith(4, 0.125, NewMemo(stWarm))
-	warm.RunParallel(0, cells)
-	warmOut := render(warm)
+	warmOut, err := warm.Render(0, render)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cs := warm.CacheStats()
 	if cs.Executions != 0 {

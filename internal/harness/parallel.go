@@ -1,61 +1,71 @@
 package harness
 
 import (
+	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
-// Cell names one (application, version, platform) experiment of a figure's
-// matrix at a runner's processor count. Speedup marks cells whose figure
-// divides by the uniprocessor baseline, so pre-execution must compute that
-// too.
-type Cell struct {
-	App      string
-	Version  string
-	Platform string
-	Speedup  bool
-}
-
-// RunParallel pre-executes cells through the runner's memo cache with a
-// bounded pool of at most workers concurrent simulations (GOMAXPROCS when
-// workers <= 0). Each simulation is single-threaded by design, so the pool
-// is what turns idle host cores into figure throughput.
-//
-// Duplicate cells and shared uniprocessor baselines execute exactly once
-// (the runner's singleflight memoization), and failures are memoized like
-// results, so rendering a figure afterwards reads pure cache: its output is
-// byte-identical to a fully serial run, and per-cell errors surface as error
-// rows there and in FailedCells rather than being returned here.
-func (r *Runner) RunParallel(workers int, cells []Cell) {
+// ForEach calls fn(i) for every i in [0, n) from a pool of at most workers
+// goroutines (GOMAXPROCS when workers <= 0, never more than n). Indices are
+// handed out in ascending order; once ctx is done no further index is
+// handed out, and ForEach returns after the calls already started finish.
+// It is the one worker pool over cells: figure prefetch, local campaign
+// execution, fleet batches and the POST /run handler all run through it.
+func ForEach(ctx context.Context, workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 0 {
-		return
-	}
-	work := make(chan Cell)
+	workers = min(workers, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range work {
-				// Errors are memoized per cell; renderers and
-				// FailedCells report them.
-				if c.Speedup {
-					_, _ = r.Speedup(c.App, c.Version, c.Platform)
-				} else {
-					_, _ = r.Run(c.App, c.Version, c.Platform)
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
+				fn(i)
 			}
 		}()
 	}
-	for _, c := range cells {
-		work <- c
-	}
-	close(work)
 	wg.Wait()
+}
+
+// Specs returns the cells render reads, in first-request order: it renders
+// once against a fresh memo whose Exec records each spec and answers with a
+// placeholder run. No renderer chooses cells from results, so the recorded
+// list is exactly the set a real render of this runner reads, uniprocessor
+// baselines included.
+func (r *Runner) Specs(render func(*Runner) (string, error)) []Spec {
+	var specs []Spec
+	rec := *r
+	rec.memo = NewMemo(nil)
+	rec.memo.Exec = func(s Spec) (*stats.Run, error) {
+		specs = append(specs, s)
+		return &stats.Run{EndTime: 1}, nil
+	}
+	_, _ = render(&rec)
+	return specs
+}
+
+// Render pre-executes every cell render reads through this runner's memo on
+// at most workers concurrent simulations (GOMAXPROCS when workers <= 0),
+// then renders serially from the warm memo. Each simulation is
+// single-threaded by design, so the pool is what turns idle host cores
+// into figure throughput, and the rendered bytes do not depend on workers.
+// Shared baselines execute once (the memo's singleflight); failures are
+// memoized and surface as error rows in the render and in FailedCells.
+func (r *Runner) Render(workers int, render func(*Runner) (string, error)) (string, error) {
+	specs := r.Specs(render)
+	ForEach(context.Background(), workers, len(specs), func(i int) {
+		_, _ = r.memo.Run(specs[i])
+	})
+	return render(r)
 }

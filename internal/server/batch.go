@@ -127,44 +127,29 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	forwarded := r.Header.Get(ForwardHeader) != ""
 	campaign := r.Header.Get(CampaignHeader) != ""
 	campaignRetry := campaign && r.Header.Get(CampaignRetryHeader) != ""
-	workers := s.cfg.MaxInflight
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				s.mx.batchCells.Add(1)
-				if campaignRetry {
-					s.mx.campaignRetried.Add(1)
-				}
-				spec, err := cells[i].spec()
-				if err != nil {
-					if campaign {
-						s.mx.campaignFailed.Add(1)
-					}
-					emit(BatchResult{Index: i, Code: http.StatusBadRequest, Error: err.Error()})
-					continue
-				}
-				body, _, code := s.routeRun(ctx, spec, cells[i].Speedup, forwarded)
-				if campaign {
-					if code == http.StatusOK {
-						s.mx.campaignDone.Add(1)
-					} else {
-						s.mx.campaignFailed.Add(1)
-					}
-				}
-				emit(BatchResult{Index: i, Code: code, Body: string(body)})
+	// Every accepted cell is computed and cached even if the client
+	// leaves mid-batch, so the pool runs under a background context.
+	harness.ForEach(context.Background(), s.cfg.MaxInflight, len(cells), func(i int) {
+		s.mx.batchCells.Add(1)
+		if campaignRetry {
+			s.mx.campaignRetried.Add(1)
+		}
+		spec, err := cells[i].spec()
+		if err != nil {
+			if campaign {
+				s.mx.campaignFailed.Add(1)
 			}
-		}()
-	}
-	for i := range cells {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+			emit(BatchResult{Index: i, Code: http.StatusBadRequest, Error: err.Error()})
+			return
+		}
+		body, _, code := s.routeRun(ctx, spec, cells[i].Speedup, forwarded)
+		if campaign {
+			if code == http.StatusOK {
+				s.mx.campaignDone.Add(1)
+			} else {
+				s.mx.campaignFailed.Add(1)
+			}
+		}
+		emit(BatchResult{Index: i, Code: code, Body: string(body)})
+	})
 }

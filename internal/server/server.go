@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -480,9 +479,10 @@ func (s *Server) executeRun(spec harness.Spec, speedup bool) (body []byte, conte
 // document: the exact bytes `svmsim -json` prints, trailing newline
 // included, with code 200 — or the structured RunErrorJSON document with
 // code 422 for a deterministic failure. It is the one place those bytes
-// are produced, shared by the HTTP handlers and by internal/campaign's
-// local execution path, so a campaign's result fingerprints are identical
-// whether a cell was computed in-process or fetched from a serve fleet.
+// are produced, shared by the HTTP handlers, `svmsim -json` and
+// internal/campaign's local execution path, so a campaign's result
+// fingerprints are identical whether a cell was computed in-process or
+// fetched from a serve fleet. The speedup denominator is spec.Baseline().
 func CellBody(memo *harness.Memo, spec harness.Spec, speedup bool) (body []byte, contentType string, code int) {
 	jsonBody := func(b []byte, jerr error, code int) ([]byte, string, int) {
 		if jerr != nil {
@@ -497,16 +497,7 @@ func CellBody(memo *harness.Memo, spec harness.Spec, speedup bool) (body []byte,
 	}
 	var spFactor float64
 	if speedup {
-		// The paper's convention, exactly as svmsim -speedup: T1 of the
-		// application's original version on the same platform and scale.
-		a, aerr := core.Lookup(spec.App)
-		if aerr != nil {
-			return []byte("serve: " + aerr.Error() + "\n"), "text/plain; charset=utf-8", http.StatusBadRequest
-		}
-		baseSpec := spec
-		baseSpec.Version = a.Versions()[0].Name
-		baseSpec.NumProcs = 1
-		baseSpec.FreeCSFaults = false
+		baseSpec := spec.Baseline()
 		base, berr := memo.Run(baseSpec)
 		if berr != nil {
 			b, jerr := harness.RunErrorJSON(baseSpec, berr)
@@ -577,17 +568,14 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	s.run(w, r, true, func(context.Context) ([]byte, string, int) {
 		runner := harness.NewRunnerWith(np, scale, s.memo)
 		runner.Check = check
-		var out string
-		var err error
-		if figID == "headline" {
-			runner.RunParallel(s.cfg.MaxInflight, harness.HeadlineCells())
-			out, err = harness.HeadlineSpeedups(runner)
-		} else {
-			runner.RunParallel(s.cfg.MaxInflight, fig.Cells())
-			var body string
-			body, err = fig.Run(runner)
-			out = fmt.Sprintf("== %s: %s ==\n%s", fig.ID, fig.Title, body)
+		render := harness.HeadlineSpeedups
+		if figID != "headline" {
+			render = func(r *harness.Runner) (string, error) {
+				body, err := fig.Run(r)
+				return fmt.Sprintf("== %s: %s ==\n%s", fig.ID, fig.Title, body), err
+			}
 		}
+		out, err := runner.Render(s.cfg.MaxInflight, render)
 		if err != nil {
 			return []byte("serve: " + err.Error() + "\n"), "text/plain; charset=utf-8", http.StatusInternalServerError
 		}

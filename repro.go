@@ -11,9 +11,10 @@
 // alignment, data-structure reorganization, and algorithmic change).
 //
 // This package is the public facade: it re-exports the experiment runner so
-// examples and downstream users can run any (application, version, platform)
+// downstream users can run any (application, version, platform)
 // combination, read the paper's execution-time breakdowns, and regenerate
-// every figure. See DESIGN.md for the system inventory and EXPERIMENTS.md
+// every figure. The package examples (example_test.go, run with
+// `go test -run Example -v .`) walk through each of these. See DESIGN.md for the system inventory and EXPERIMENTS.md
 // for paper-vs-measured results.
 package repro
 
@@ -35,15 +36,12 @@ type Run = stats.Run
 
 // Runner executes experiments with memoized uniprocessor baselines, so
 // speedups follow the paper's convention (T1 of the original version over Tp
-// of the optimized version). A Runner is safe for concurrent use: distinct
-// experiments execute once (singleflight) and whole matrices can be
-// pre-executed by a bounded worker pool with RunParallel, with per-cell
+// of the optimized version; see Spec.Baseline). A Runner is safe for
+// concurrent use: distinct experiments execute once (singleflight), and
+// Runner.Render pre-executes every cell a rendering function reads on a
+// bounded worker pool before rendering it from the cache, with per-cell
 // failures contained as memoized errors instead of process crashes.
 type Runner = harness.Runner
-
-// Cell names one (application, version, platform) experiment of a matrix
-// for Runner.RunParallel.
-type Cell = harness.Cell
 
 // Figure is one regenerable figure/table from the paper.
 type Figure = harness.Figure
