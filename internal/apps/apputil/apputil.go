@@ -1,7 +1,8 @@
 // Package apputil provides building blocks shared by the application
 // reimplementations: lock-protected task queues with stealing (Volrend,
-// Raytrace), block partition helpers, and a small deterministic RNG so runs
-// are reproducible across platforms.
+// Raytrace), block partition helpers, a small deterministic RNG so runs
+// are reproducible across platforms, and the procedural CT head (Volrend,
+// Shear-Warp).
 package apputil
 
 import (
@@ -20,13 +21,6 @@ func Split(n, np, id int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RNG is a tiny deterministic xorshift generator. Applications must not use

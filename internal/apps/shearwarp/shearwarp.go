@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -57,10 +58,11 @@ func (app) Versions() []core.Version {
 }
 
 type instance struct {
-	n, nz, np int
-	opt       bool
+	n, np int
+	opt   bool
 
-	vol    []uint8
+	head   apputil.Head
+	comp   []float64 // composited column per radius class (apputil.Head.Radius)
 	rleAdr uint64
 	rleOff []int // per-scanline offset into the RLE data
 	rleLen []int // per-scanline RLE byte length
@@ -75,9 +77,9 @@ type instance struct {
 	refF     []float64
 
 	// Partitions.
-	rowOwner  []int // intermediate scanline -> owner (composite phase)
-	blockLo   []int // opt: contiguous block bounds per processor
-	blockHi   []int
+	rowOwner []int // intermediate scanline -> owner (composite phase)
+	blockLo  []int // opt: contiguous block bounds per processor
+	blockHi  []int
 }
 
 // Build implements core.App.
@@ -89,24 +91,30 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		n = 4 * np
 	}
 	in.n = n
-	in.nz = n / 2
 
-	// Head volume, ray-major like Volrend's, then run-length encoded per
-	// intermediate scanline.
-	in.vol = make([]uint8, n*n*in.nz)
-	fillHead(in.vol, n, in.nz)
+	// Volrend's head, ray-major, run-length encoded per intermediate
+	// scanline. Columns of one radius class hold the same voxels, so each
+	// class is composited once, from its first column.
+	in.head = apputil.NewHead(n)
+	in.comp = make([]float64, in.head.Radii())
+	composited := make([]bool, len(in.comp))
 	in.rleOff = make([]int, n+1)
 	in.rleLen = make([]int, n)
 	in.runs = make([]int, n)
 	in.cost = make([]uint64, n)
 	total := 0
 	for y := 0; y < n; y++ {
-		nvox, runs := rleScan(in.vol, n, in.nz, y)
+		nvox, runs := in.head.Scanline(y)
 		in.rleOff[y] = total
 		in.rleLen[y] = nvox + 2*runs
 		in.runs[y] = runs
 		in.cost[y] = uint64(runs*runCost) + uint64(nvox*voxCost)
 		total += in.rleLen[y]
+		for x := 0; x < n; x++ {
+			if c := in.head.Radius(x, y); c < len(in.comp) && !composited[c] {
+				in.comp[c], composited[c] = in.head.Composite(x, y), true
+			}
+		}
 	}
 	in.rleOff[n] = total
 	in.rleAdr = as.AllocPages(total)
@@ -175,7 +183,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	// Reference results.
 	in.refI = make([]float64, n*n)
 	for y := 0; y < n; y++ {
-		compositeRow(in.vol, n, in.nz, y, in.refI)
+		in.compositeRow(y, in.refI)
 	}
 	in.refF = make([]float64, n*n)
 	for y := 0; y < n; y++ {
@@ -184,69 +192,16 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	return in, nil
 }
 
-// fillHead builds the same CT-head stand-in as Volrend.
-func fillHead(vol []uint8, n, nz int) {
-	cx, cy, cz := float64(n)/2, float64(n)/2, float64(nz)/2
-	r := 0.45 * float64(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			for z := 0; z < nz; z++ {
-				dx, dy, dz := float64(x)-cx, float64(y)-cy, (float64(z)-cz)*2
-				d2 := dx*dx + dy*dy + dz*dz
-				if d2 > r*r {
-					continue
-				}
-				switch int(d2/(r*r)*8) % 3 {
-				case 0:
-					vol[(y*n+x)*nz+z] = 200
-				case 1:
-					vol[(y*n+x)*nz+z] = 40
-				default:
-					vol[(y*n+x)*nz+z] = 90
-				}
-			}
+// compositeRow computes intermediate scanline y: each pixel is its
+// column's front-to-back composite, looked up by radius class (columns
+// outside the head are empty).
+func (in *instance) compositeRow(y int, out []float64) {
+	for x := 0; x < in.n; x++ {
+		v := 0.0
+		if c := in.head.Radius(x, y); c < len(in.comp) {
+			v = in.comp[c]
 		}
-	}
-}
-
-// rleScan counts the non-transparent voxels and runs of scanline y.
-func rleScan(vol []uint8, n, nz, y int) (nvox, runs int) {
-	inRun := false
-	for x := 0; x < n; x++ {
-		for z := 0; z < nz; z++ {
-			if vol[(y*n+x)*nz+z] != 0 {
-				nvox++
-				if !inRun {
-					runs++
-					inRun = true
-				}
-			} else {
-				inRun = false
-			}
-		}
-	}
-	return nvox, runs
-}
-
-// compositeRow computes intermediate scanline y (front-to-back compositing
-// down z for each column).
-func compositeRow(vol []uint8, n, nz, y int, out []float64) {
-	for x := 0; x < n; x++ {
-		var acc, alpha float64
-		base := (y*n + x) * nz
-		for z := 0; z < nz; z++ {
-			d := float64(vol[base+z]) / 255
-			if d == 0 {
-				continue // RLE skips transparent voxels
-			}
-			a := d * 0.05
-			acc += (1 - alpha) * a * d * 255
-			alpha += (1 - alpha) * a
-			if alpha > 0.95 {
-				break
-			}
-		}
-		out[y*n+x] = acc
+		out[y*in.n+x] = v
 	}
 }
 
@@ -272,7 +227,7 @@ func warpRow(inter []float64, n, y int, out []float64) {
 // compositeScanline performs phase-1 work for scanline y with simulated
 // accesses: read the RLE data, write the intermediate row once per slab.
 func (in *instance) compositeScanline(p *sim.Proc, y int) {
-	compositeRow(in.vol, in.n, in.nz, y, in.inter)
+	in.compositeRow(y, in.inter)
 	p.ReadRange(in.rleAdr+uint64(in.rleOff[y]), in.rleLen[y])
 	for s := 0; s < slabs; s++ {
 		p.WriteRange(in.interLay.RowAddr(y), in.n*4)

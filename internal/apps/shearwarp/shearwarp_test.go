@@ -1,6 +1,7 @@
 package shearwarp
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -108,5 +109,58 @@ func TestShearWarpRLECostsVary(t *testing.T) {
 	edge := in.cost[1]
 	if mid <= edge*2 {
 		t.Errorf("scanline costs too uniform: center %d vs edge %d", mid, edge)
+	}
+}
+
+func TestShearWarpVerifyCatchesSkippedScanline(t *testing.T) {
+	// The reference image and Body read the same per-radius composites, so
+	// a Body that leaves one central scanline uncomposited must still fail
+	// Verify.
+	const np = 4
+	as := mem.NewAddressSpace(platform.PageSize, np)
+	a, _ := core.Lookup("shearwarp")
+	instI, err := a.Build("opt", 0.5, as, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := instI.(*instance)
+	skip := in.n / 2
+	pl, err := platform.Make("svm", as, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
+	k.Run("shearwarp/opt-skip@svm", func(p *sim.Proc) {
+		id := p.ID()
+		p.Barrier()
+		for y := in.blockLo[id]; y < in.blockHi[id]; y++ {
+			if y != skip {
+				in.compositeScanline(p, y)
+			}
+		}
+		for y := in.blockLo[id]; y < in.blockHi[id]; y++ {
+			in.warpScanline(p, y)
+		}
+		p.Barrier()
+	})
+	if err := in.Verify(); err == nil {
+		t.Fatalf("Verify passed with scanline %d never composited", skip)
+	}
+}
+
+func TestShearWarpBuildAllocation(t *testing.T) {
+	// Build keeps no dense volume: at P=128 (a 512x512 image) it allocates
+	// the images, the RLE bookkeeping and one composite per radius class.
+	const np = 128
+	as := mem.NewAddressSpace(platform.PageSize, np)
+	a, _ := core.Lookup("shearwarp")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := a.Build("opt", 0.25, as, np); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
+		t.Errorf("Build at np=%d allocated %.1f MB, want < 16", np, mb)
 	}
 }

@@ -95,7 +95,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	in.vol = make([]uint8, n*n*in.nz)
 	in.volAdr = as.AllocPages(len(in.vol))
 	as.DistributeRoundRobin(in.volAdr, len(in.vol))
-	fillHead(in.vol, n, in.nz)
+	apputil.NewHead(n).Fill(in.vol)
 
 	padQueues := uint64(0)
 	balanced := false
@@ -196,34 +196,6 @@ func procGrid(np int) (pr, pc int) {
 		pr--
 	}
 	return pr, np / pr
-}
-
-// fillHead builds the CT-head stand-in: concentric density shells inside a
-// bounding sphere, empty outside.
-func fillHead(vol []uint8, n, nz int) {
-	cx, cy, cz := float64(n)/2, float64(n)/2, float64(nz)/2
-	r := 0.45 * float64(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			for z := 0; z < nz; z++ {
-				dx, dy, dz := float64(x)-cx, float64(y)-cy, (float64(z)-cz)*2
-				d2 := dx*dx + dy*dy + dz*dz
-				if d2 > r*r {
-					continue
-				}
-				// Shells: alternating dense / sparse bands.
-				band := int(d2/(r*r)*8) % 3
-				switch band {
-				case 0:
-					vol[(y*n+x)*nz+z] = 200
-				case 1:
-					vol[(y*n+x)*nz+z] = 40
-				default:
-					vol[(y*n+x)*nz+z] = 90
-				}
-			}
-		}
-	}
 }
 
 // castRay composites the ray for pixel (px, py); it returns the pixel value

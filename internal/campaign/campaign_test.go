@@ -259,4 +259,16 @@ func TestTableRendering(t *testing.T) {
 	if table := s.Table(entries); !strings.Contains(table, "-") {
 		t.Errorf("missing baseline not rendered as -:\n%s", table)
 	}
+	// The header prints the scale exactly: scales that %.2g would round
+	// (0.125 to 0.12, 0.0625 to 0.062) keep every digit.
+	for _, c := range []struct {
+		scale float64
+		text  string
+	}{{0.125, "0.125"}, {0.0625, "0.0625"}} {
+		s.Scales = []float64{c.scale}
+		want := "lu/orig speedup vs uniprocessor original (scale " + c.text + ")\n"
+		if table := s.Table(entries); !strings.Contains(table, want) {
+			t.Errorf("scale %v header missing %q:\n%s", c.scale, want, table)
+		}
+	}
 }

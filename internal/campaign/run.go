@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -315,7 +316,7 @@ func (s *Spec) Table(entries map[string]Entry) string {
 // the given order) and platform (columns). A cell renders as "error" when
 // it or its baseline failed, and as "-" when either has no settled result.
 func ScalingTable(w io.Writer, entries map[string]Entry, cell harness.Spec, plats []string, procs []int) {
-	fmt.Fprintf(w, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", cell.App, cell.Version, cell.Scale)
+	fmt.Fprintf(w, "%s/%s speedup vs uniprocessor original (scale %s)\n", cell.App, cell.Version, strconv.FormatFloat(cell.Scale, 'g', -1, 64))
 	fmt.Fprintf(w, "%6s", "P")
 	for _, pl := range plats {
 		fmt.Fprintf(w, " %8s", pl)

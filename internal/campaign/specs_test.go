@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	_ "repro/internal/apps"
+	"repro/internal/harness"
 )
 
 // The committed irregular-workload campaign spec must expand to the exact
@@ -90,5 +93,60 @@ func TestIrregularJournalIsCompleteForCommittedDigest(t *testing.T) {
 	}
 	if done != 360 {
 		t.Errorf("journal has %d entries, want 360", done)
+	}
+}
+
+// Every shearwarp and volrend cell of the committed scaling study
+// re-simulates to its journaled document fingerprint and end time, on all
+// four platforms at P = 1-128: the procedural head produces the same RLE
+// layout, costs and memory traffic as the dense volume the journal was
+// written from. (The document holds timing and counters, not image bits;
+// those are pinned by the apputil head tests and the engine goldens.)
+func TestScaling128ImageAppsReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-simulates 128 cells")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "campaigns", "scaling128.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, off, err := decodeJournalHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := decodeJournalEntries(data[off:])
+	journaled := map[string]Entry{}
+	for _, e := range entries {
+		journaled[e.Key] = e
+	}
+	all, err := readSpec(t, "scaling128.json").Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []Cell
+	for _, c := range all {
+		if c.Spec.App == "shearwarp" || c.Spec.App == "volrend" {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) != 128 {
+		t.Fatalf("scaling128.json has %d shearwarp/volrend cells, want 128", len(cells))
+	}
+	var mu sync.Mutex
+	got := map[string]Entry{}
+	(&Local{Memo: harness.NewMemo(nil)}).Execute(context.Background(), cells, func(o Outcome) {
+		mu.Lock()
+		got[o.Cell.Key] = entryFor(o)
+		mu.Unlock()
+	})
+	for _, c := range cells {
+		want, ok := journaled[c.Key]
+		if !ok {
+			t.Errorf("%s: not in the journal", c.Key)
+			continue
+		}
+		if e := got[c.Key]; e.Status != "done" || e.FP != want.FP || e.End != want.End {
+			t.Errorf("%s: re-simulated %s fp=%s end=%d, journaled %s fp=%s end=%d", c.Key, e.Status, e.FP, e.End, want.Status, want.FP, want.End)
+		}
 	}
 }
